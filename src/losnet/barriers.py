@@ -183,11 +183,30 @@ class ConstraintSystem:
 
     _KIND_CODES = {KIND_SAFETY: 0, KIND_OBSTACLE: 1, KIND_CONNECTIVITY: 2, KIND_LOS: 3}
 
+    # Robot index + 1 takes 12 bits of a key and boundary point index + 1
+    # takes 21, so larger indices would collide silently.
+    _KEY_ROBOT_LIMIT = (1 << 12) - 1
+    _KEY_POINT_LIMIT = (1 << 21) - 1
+
     def packed_keys(self) -> np.ndarray:
         """Stable int64 identity of each row across rebuilt systems: kind plus
         the robots and obstacle point the row certifies. Lets a later system
-        look up dual values from an earlier related solve."""
+        look up dual values from an earlier related solve.
+
+        Raises AssemblyError when the system has more robots or boundary
+        points than the key fields hold."""
         if self._packed_cache is None:
+            if self.n_robots > self._KEY_ROBOT_LIMIT:
+                raise AssemblyError(
+                    f"row keys hold at most {self._KEY_ROBOT_LIMIT} robots, "
+                    f"system has {self.n_robots}"
+                )
+            top_point = int(self._obstacle_indices.max(initial=-1))
+            if top_point >= self._KEY_POINT_LIMIT:
+                raise AssemblyError(
+                    f"row keys hold at most {self._KEY_POINT_LIMIT} boundary points, "
+                    f"a row refers to point {top_point}"
+                )
             codes = np.zeros(len(self), dtype=np.int64)
             for kind, code in self._KIND_CODES.items():
                 codes[self._kind_slices.get(kind, slice(0, 0))] = code
@@ -210,6 +229,46 @@ class ConstraintSystem:
             )
         norms = np.sqrt(sq)
         return np.where(norms > 0.0, norms, 1.0)
+
+    def reachable_rows(self, box: float) -> np.ndarray:
+        """Increasing indices of the rows that some control with every
+        component in [-box, box] can violate, i.e. |a|_1 * box > b. Every
+        other row holds for all such controls."""
+        ones = np.ones(self.dimension)  # a product with ones sums rows fastest
+        l1 = np.abs(self._vec_a) @ ones + np.where(
+            self._robot_b >= 0, np.abs(self._vec_b) @ ones, 0.0
+        )
+        return np.nonzero(l1 * box > self.bounds)[0]
+
+    def take(self, indices: np.ndarray) -> "ConstraintSystem":
+        """The subsystem of the given rows. Indices must be strictly
+        increasing, so each kind stays one contiguous block and every row
+        keeps its kind and packed key. Packed keys already computed here are
+        sliced, not recomputed."""
+        idx = np.asarray(indices, dtype=np.int64)
+        if np.any(idx[1:] <= idx[:-1]):
+            raise ValueError("row indices must be strictly increasing")
+        ends = np.searchsorted(
+            idx, [end for sl in self._kind_slices.values() for end in (sl.start, sl.stop)]
+        ).tolist()
+        kind_slices = {
+            kind: slice(ends[2 * i], ends[2 * i + 1]) for i, kind in enumerate(self._kind_slices)
+        }
+        sub = ConstraintSystem(
+            n_robots=self.n_robots,
+            dimension=self.dimension,
+            robot_a=self._robot_a[idx],
+            vec_a=self._vec_a[idx],
+            robot_b=self._robot_b[idx],
+            vec_b=self._vec_b[idx],
+            bounds=self.bounds[idx],
+            kind_slices=kind_slices,
+            edges=self._edges[idx],
+            obstacle_indices=self._obstacle_indices[idx],
+        )
+        if self._packed_cache is not None:
+            sub._packed_cache = self._packed_cache[idx]
+        return sub
 
     def residuals(self, u: np.ndarray) -> np.ndarray:
         """A u - b computed from the two-robot block structure without

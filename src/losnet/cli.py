@@ -297,7 +297,7 @@ def _sweep_one(base: Scenario, size: int, trial: int, seed: int, out_dir: Path):
         "lambda2_min": float(np.min([m.lambda2 for m in metrics])),
         "perturbation": float(np.mean([m.perturbation for m in metrics])),
     }
-    return size, trial, scalars
+    return size, trial, scalars, _run_violations(scenario, record)
 
 
 AGGREGATE_FIELDS = (
@@ -342,17 +342,22 @@ def sweep_command(config: CliConfig) -> int:
         for trial in range(config.trials)
     ]
     results: dict[tuple[int, int], dict] = {}
+    problems: dict[tuple[int, int], list[str]] = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [
             pool.submit(_sweep_one, base, size, trial, seed, out_dir)
             for size, trial, seed in tasks
         ]
         for fut in concurrent.futures.as_completed(futures):
-            size, trial, scalars = fut.result()
+            size, trial, scalars, violations = fut.result()
             results[(size, trial)] = scalars
+            problems[(size, trial)] = violations
     write_aggregate(results, out_dir)
+    for (size, trial), violations in sorted(problems.items()):
+        for p in violations:
+            print(f"INVARIANT VIOLATED: size {size} trial {trial}: {p}", file=sys.stderr)
     print(f"sweep complete: {len(tasks)} runs, aggregate at {out_dir / 'aggregate.csv'}")
-    return 0
+    return 1 if any(problems.values()) else 0
 
 
 def validate_command(config: CliConfig) -> int:

@@ -7,12 +7,14 @@ box.
 
 The Hessian is the identity, so the dual over the row multipliers mu >= 0 has
 a closed-form inner minimizer u(mu) = clip(u_hat - A^T mu, -box, box) and a
-Lipschitz gradient A u(mu) - b. The solver grows a working set of violated
-rows and runs accelerated projected gradient ascent on the dual of that
-subsystem; because every iterate is box-feasible, rows that no box-feasible
-control can violate never enter the working set, which keeps each solve tiny
-even when the full system has tens of thousands of rows. On non-convergence
-it falls back to the always-feasible zero control.
+Lipschitz gradient A u(mu) - b. A row with |a|_1 * box <= b holds for every
+box-feasible control, so the solver drops such rows once per solve; the
+screen is exact, and on the bundled 64-robot walled scenario it keeps about
+one assembled row in seven. It then grows a working set of violated rows and runs a
+projected semismooth Newton ascent on the dual of that subsystem, where each
+Newton trial is one SPD solve on the damped Gram of the free rows (a thin SVD
+only when free rows outnumber unclipped control components). On
+non-convergence it falls back to the always-feasible zero control.
 """
 
 from __future__ import annotations
@@ -113,10 +115,15 @@ class QpSolution:
 def _dual_ascent(u_hat, box, a_w, b_w, mu0, tol, budget):
     """Projected semismooth Newton ascent on the dual of the working
     subsystem. The dual gradient is A u(mu) - b with u(mu) the box-clipped
-    Lagrangian minimizer; its generalized Hessian is -A D A^T with D masking
-    the unclipped components, so each iteration solves one small SPD system.
-    A monotone line search plus a plain projected-gradient fallback keeps the
-    ascent safe on degenerate (duplicate-row) systems.
+    Lagrangian minimizer; its generalized Hessian is -A_f A_f^T, with A_f the
+    free rows restricted to the unclipped components.
+
+    With no more free rows than unclipped components (the common case), each
+    damping trial is one SPD solve on the damped row Gram A_f A_f^T + lam I.
+    With more, the thin SVD of A_f splits the gradient: a component outside
+    the range of A_f is walked exactly, the rest takes the damped range-space
+    step. A monotone line search plus a plain projected-gradient fallback
+    keeps the ascent safe on degenerate (duplicate-row) systems.
     Returns (u, mu, iterations_used, converged)."""
     m = b_w.size
     mu = mu0.copy()
@@ -144,10 +151,24 @@ def _dual_ascent(u_hat, box, a_w, b_w, mu0, tol, budget):
         g_f = resid[free]
         g0 = dual_value(mu)
         stepped = False
-        if a_f.size:
-            # The generalized Hessian A_f A_f^T has rank at most the number of
-            # unclipped control components, so factor the thin matrix once and
-            # reuse it across damping retries.
+        newton_step = None
+        if a_f.size and a_f.shape[0] <= a_f.shape[1]:
+            # The thin SVD's U is square here, so U (S^2 + lam)^-1 U^T g is
+            # exactly (A_f A_f^T + lam I)^-1 g. The largest absolute row sum
+            # of the Gram bounds its largest eigenvalue.
+            gram = a_f @ a_f.T
+            scale = float(np.max(np.sum(np.abs(gram), axis=1))) + 1e-12
+            diag = np.diag_indices_from(gram)
+
+            def newton_step(lam):
+                damped = gram.copy()
+                damped[diag] += lam
+                return np.linalg.solve(damped, g_f)
+
+        elif a_f.size:
+            # The Hessian has rank at most the number of unclipped control
+            # components, so factor the thin matrix once and reuse it across
+            # damping retries.
             try:
                 basis, sing, _ = np.linalg.svd(a_f, full_matrices=False)
             except np.linalg.LinAlgError:
@@ -173,21 +194,30 @@ def _dual_ascent(u_hat, box, a_w, b_w, mu0, tol, budget):
                         mu = mu_t
                         stepped = True
                 if not stepped:
-                    # Range-space Newton with adaptive damping: a failed
-                    # ascent trial raises the damping, a good one lowers it.
                     scale = float(sing[0] ** 2) + 1e-12
-                    for _ in range(10):
-                        delta = basis @ (proj / (sing**2 + damping * scale))
-                        mu_t = mu.copy()
-                        mu_t[free] = np.maximum(0.0, mu[free] + delta)
-                        if np.all(np.isfinite(mu_t)) and dual_value(mu_t) > g0 + 1e-14 * max(
-                            1.0, abs(g0)
-                        ):
-                            mu = mu_t
-                            damping = max(damping / 30.0, 1e-10)
-                            stepped = True
-                            break
-                        damping = min(damping * 10.0, 1e12)
+
+                    def newton_step(lam):
+                        return basis @ (proj / (sing**2 + lam))
+
+        if newton_step is not None:
+            # Range-space Newton with adaptive damping: a failed ascent trial
+            # raises the damping, a good one lowers it.
+            for _ in range(10):
+                try:
+                    delta = newton_step(damping * scale)
+                except np.linalg.LinAlgError:
+                    delta = None
+                if delta is not None:
+                    mu_t = mu.copy()
+                    mu_t[free] = np.maximum(0.0, mu[free] + delta)
+                    if np.all(np.isfinite(mu_t)) and dual_value(mu_t) > g0 + 1e-14 * max(
+                        1.0, abs(g0)
+                    ):
+                        mu = mu_t
+                        damping = max(damping / 30.0, 1e-10)
+                        stepped = True
+                        break
+                damping = min(damping * 10.0, 1e12)
         if not stepped:
             mu = np.maximum(0.0, mu + grad_step * resid)
             damping = 1e-8
@@ -205,7 +235,12 @@ def solve(
     budget ran out but the final iterate is feasible within tol, and
     "fallback_zero" (u = 0) otherwise.
 
-    `warm_start` maps row keys (ConstraintSystem.row_keys) to dual values
+    Rows with |a|_1 * box <= b hold for every box-feasible control, so the
+    solve drops them once up front (ConstraintSystem.reachable_rows); they
+    cannot change the optimum and get duals of exactly zero. `duals` always
+    has one entry per row of the full system.
+
+    `warm_start` maps row keys (ConstraintSystem.packed_keys) to dual values
     from a previous related solve; it only seeds the iteration and cannot
     change the converged answer beyond the tolerance.
 
@@ -215,14 +250,29 @@ def solve(
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    u_hat = problem.target
-    box = problem.box
     system = problem.system
     z = len(system)
+    reach = system.reachable_rows(problem.box)
+    if reach.size == 0:
+        return QpSolution(u=np.clip(problem.target, -problem.box, problem.box),
+                          status=STATUS_OPTIMAL, max_violation=0.0, iterations=0,
+                          duals=np.zeros(z))
+    if warm_start:
+        # Keyed once on the full system, which callers key again to build
+        # the next warm start; the subsystem slices these keys.
+        system.packed_keys()
+    rows = system if reach.size == z else system.take(reach)
+    sol = _solve_rows(problem.target, problem.box, rows, tol, max_iter, warm_start)
+    duals = np.zeros(z)
+    duals[reach] = sol.duals
+    return dataclasses.replace(sol, duals=duals)
+
+
+def _solve_rows(u_hat, box, system, tol, max_iter, warm_start) -> QpSolution:
+    """The working-set solve of `solve` over every row of a nonempty
+    `system`."""
+    z = len(system)
     u0 = np.clip(u_hat, -box, box)
-    if z == 0:
-        return QpSolution(u=u0, status=STATUS_OPTIMAL, max_violation=0.0,
-                          iterations=0, duals=np.zeros(0))
     # The solve runs on unit-norm rows; violations are therefore Euclidean
     # distances to the half-space boundaries, and the certificate rows with
     # wildly different gradient magnitudes stay comparably conditioned.

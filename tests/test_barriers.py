@@ -3,6 +3,7 @@ import pytest
 
 from losnet.barriers import (
     BarrierParams,
+    ConstraintSystem,
     assemble_system,
     h_conn,
     h_los,
@@ -223,6 +224,30 @@ class TestAssembleSystem:
         sub = sys_.dense_rows(np.array([0, 3, 5]))
         np.testing.assert_allclose(sub, a[[0, 3, 5]])
 
+    def test_reachable_rows_and_take(self, params, rng):
+        x = rng.uniform(-3, 3, (4, 2)) * 2
+        field = _field_with_points(rng.uniform(4, 8, (3, 2)))
+        edges = [(0, 1), (2, 3)]
+        ells = {e: mvee_closed_form(x[e[0]], x[e[1]], 0.02) for e in edges}
+        sys_ = assemble_system(x, field, edges, ells, params)
+        a, b = sys_.dense()
+        box = params.box_bound(2)
+        reach = sys_.reachable_rows(box)
+        np.testing.assert_array_equal(reach, np.nonzero(np.abs(a).sum(axis=1) * box > b)[0])
+        assert 0 < reach.size < len(sys_)
+        sub = sys_.take(reach)
+        sub_a, sub_b = sub.dense()
+        np.testing.assert_array_equal(sub_a, a[reach])
+        np.testing.assert_array_equal(sub_b, b[reach])
+        np.testing.assert_array_equal(sub.packed_keys(), sys_.packed_keys()[reach])
+        # Once the full system is keyed, a new subsystem slices its keys.
+        np.testing.assert_array_equal(sys_.take(reach).packed_keys(), sys_.packed_keys()[reach])
+        for kind in ("safety", "obstacle", "connectivity", "los"):
+            sl = sys_.kind_slice(kind)
+            assert sub.count(kind) == np.count_nonzero((reach >= sl.start) & (reach < sl.stop))
+        with pytest.raises(ValueError):
+            sys_.take(reach[::-1])
+
     def test_safety_cutoff_drops_far_pairs(self, params):
         x = np.array([[0.0, 0.0], [2.0, 0.0], [40.0, 0.0]])
         sys_full = assemble_system(x, ObstacleField.empty(), [], None, params)
@@ -265,3 +290,32 @@ class TestDiscretizedFieldIntegration:
         sys_ = assemble_system(x, field, [(0, 1)], ells, params)
         assert len(sys_) == 1 + 2 * field.n_points + 1 + field.n_points
         assert np.all(sys_.bounds > 0)
+
+
+def _two_row_system(n_robots, robot, point):
+    return ConstraintSystem(
+        n_robots=n_robots,
+        dimension=2,
+        robot_a=np.array([0, robot], np.int64),
+        vec_a=np.ones((2, 2)),
+        robot_b=np.full(2, -1, np.int64),
+        vec_b=np.zeros((2, 2)),
+        bounds=np.ones(2),
+        kind_slices={"obstacle": slice(0, 2)},
+        edges=np.full((2, 2), -1, np.int64),
+        obstacle_indices=np.array([0, point], np.int64),
+    )
+
+
+class TestPackedKeys:
+    def test_largest_indices_that_fit_stay_distinct(self):
+        keys = _two_row_system(4095, 4094, (1 << 21) - 2).packed_keys()
+        assert keys[0] != keys[1]
+
+    def test_too_many_robots_raises(self):
+        with pytest.raises(AssemblyError, match="robots"):
+            _two_row_system(4096, 4095, 1).packed_keys()
+
+    def test_too_many_boundary_points_raises(self):
+        with pytest.raises(AssemblyError, match="boundary points"):
+            _two_row_system(2, 1, (1 << 21) - 1).packed_keys()

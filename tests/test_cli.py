@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from losnet import cli
 from losnet.cli import (
     METRICS_COLUMNS,
     load_scenario,
@@ -199,6 +200,24 @@ class TestSweep:
             assert (out / d / "metrics.csv").exists()
         agg = (out / "aggregate.csv").read_text().splitlines()
         assert len(agg) == 3  # header + one row per size
+
+    def test_sweep_exits_nonzero_on_invariant_violation(self, tmp_path, monkeypatch, capsys):
+        def planted(scenario, record):
+            return ["planted"] if scenario.positions.shape[0] == 6 else []
+
+        monkeypatch.setattr(cli, "_run_violations", planted)
+        scenario = write_scenario(tmp_path, MINIMAL)
+        rc = main([
+            "sweep", "--scenario", str(scenario), "--out", str(tmp_path / "sweep"),
+            "--sizes", "4,6", "--trials", "2", "--jobs", "1",
+        ])
+        assert rc == 1
+        flagged = [l for l in capsys.readouterr().err.splitlines() if "INVARIANT VIOLATED" in l]
+        assert flagged == [
+            "INVARIANT VIOLATED: size 6 trial 0: planted",
+            "INVARIANT VIOLATED: size 6 trial 1: planted",
+        ]
+        assert (tmp_path / "sweep" / "aggregate.csv").exists()
 
     def test_aggregate_recomputes_from_run_csvs(self, tmp_path):
         scenario = write_scenario(tmp_path, MINIMAL)

@@ -154,3 +154,122 @@ class TestOracleAgreement:
             assert sol.status == qp.STATUS_OPTIMAL
             obj = float((sol.u - u_hat) @ (sol.u - u_hat))
             assert obj == pytest.approx(obj_star, abs=1e-4)
+
+
+def degenerate_rows(rng, n, distinct):
+    """Unit rows: `distinct` random directions, then an exact copy and a copy
+    turned by about 1e-9 of each, so the row Gram is singular or nearly so."""
+    base = rng.normal(size=(distinct, n))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    near = base + 1e-9 * rng.normal(size=base.shape)
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    return np.vstack([base, base, near])
+
+
+def check_against_oracle(u_hat, a, b, box):
+    prob = make_problem(u_hat, a, b, box=box)
+    sol = qp.solve(prob)
+    assert sol.status == qp.STATUS_OPTIMAL
+    assert qp.verify_kkt(prob, sol, 1e-5)
+    _, obj_star = qp_active_set_oracle(u_hat, a, b, box)
+    obj = float((sol.u - u_hat) @ (sol.u - u_hat))
+    assert obj == pytest.approx(obj_star, abs=1e-6)
+
+
+class TestNewtonFactorization:
+    def test_thin_degenerate_rows_use_no_svd(self, rng, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("thin Newton step called np.linalg.svd")
+
+        for _ in range(6):
+            n = 5
+            a = degenerate_rows(rng, n, distinct=1)  # 3 rows < 5 columns
+            a = np.vstack([a, rng.normal(size=(1, n)) / np.sqrt(n)])
+            b = rng.uniform(0.0, 0.3, a.shape[0])
+            b[1:3] = b[0]
+            u_hat = rng.uniform(-2.0, 2.0, n) + 1.5 * a[0]
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "svd", no_svd)
+                sol = qp.solve(make_problem(u_hat, a, b, box=10.0))
+            assert sol.iterations > 0
+            check_against_oracle(u_hat, a, b, 10.0)
+
+    def test_tall_degenerate_rows(self, rng, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        for _ in range(8):
+            n = 3
+            a = degenerate_rows(rng, n, distinct=2)  # 6 rows > 3 columns
+            b = np.tile(rng.uniform(0.0, 0.3, 2), 3)
+            u_hat = rng.uniform(-1.0, 1.0, n) + 2.0 * (a[0] + a[1])
+            box = rng.uniform(1.5, 4.0)
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "svd", counting_svd)
+                qp.solve(make_problem(u_hat, a, b, box=box))
+            check_against_oracle(u_hat, a, b, box)
+        assert calls, "no solve took the tall (SVD) path"
+
+    def test_team_of_pairwise_rows(self, rng):
+        # 20 robots on a jittered grid pulled hard towards their centroid:
+        # safety rows for every pair, connectivity rows along a chain.
+        from losnet.barriers import BarrierParams, assemble_system
+        from losnet.geometry import ObstacleField
+
+        grid = np.stack(np.meshgrid(np.arange(5), np.arange(4), indexing="ij"), -1)
+        x = 0.1 * grid.reshape(-1, 2) + rng.uniform(-0.01, 0.01, size=(20, 2))
+        chain = [(k, k + 1) for k in range(19)]
+        params = BarrierParams(r_safety=0.04, r_obstacle=0.05, r_comm=0.5, u_max=0.3, gamma=5.0)
+        system = assemble_system(x, ObstacleField.empty(), chain, None, params)
+        u_hat = 3.0 * (x.mean(axis=0) - x) + rng.uniform(-0.1, 0.1, size=x.shape)
+        prob = qp.QpProblem(target=u_hat.ravel(), system=system, box=params.box_bound(2))
+        sol = qp.solve(prob)
+        assert sol.status == qp.STATUS_OPTIMAL
+        assert qp.verify_kkt(prob, sol, 1e-6)
+        assert np.count_nonzero(sol.duals) >= 5
+        screened = np.setdiff1d(np.arange(len(system)), system.reachable_rows(prob.box))
+        assert screened.size > 0
+        assert np.all(sol.duals[screened] == 0.0)
+
+
+class TestRowScreen:
+    @staticmethod
+    def problem_with_slack_rows(rng, box=1.0):
+        a = rng.normal(size=(10, 4))
+        b = rng.uniform(0.0, 0.3, 10)
+        # Every other row gets a bound no box-feasible control can reach.
+        b[::2] = np.abs(a[::2]).sum(axis=1) * box * rng.uniform(1.0, 2.0, 5)
+        # Exactly on the screen's boundary; binary fractions sum exactly.
+        a[0] = [0.5, -0.25, 0.125, 1.0]
+        b[0] = np.abs(a[0]).sum() * box
+        u_hat = rng.uniform(-3.0, 3.0, 4)
+        return u_hat, a, b, box
+
+    def test_matches_solve_over_reachable_rows(self, rng):
+        for _ in range(20):
+            u_hat, a, b, box = self.problem_with_slack_rows(rng)
+            prob = make_problem(u_hat, a, b, box=box)
+            reach = prob.system.reachable_rows(box)
+            np.testing.assert_array_equal(reach, np.arange(1, 10, 2))
+            sol = qp.solve(prob)
+            alone = qp.solve(make_problem(u_hat, a[reach], b[reach], box=box))
+            np.testing.assert_array_equal(sol.u, alone.u)
+            assert sol.duals.size == 10
+            assert np.all(sol.duals[::2] == 0.0)
+            np.testing.assert_array_equal(sol.duals[reach], alone.duals)
+            assert qp.verify_kkt(prob, sol, 1e-6)
+
+    def test_every_row_screened_returns_clipped_target(self, rng):
+        u_hat, a, b, box = self.problem_with_slack_rows(rng)
+        keep = np.arange(0, 10, 2)
+        prob = make_problem(u_hat, a[keep], b[keep], box=box)
+        sol = qp.solve(prob)
+        np.testing.assert_array_equal(sol.u, np.clip(u_hat, -box, box))
+        assert sol.status == qp.STATUS_OPTIMAL
+        assert sol.iterations == 0
+        np.testing.assert_array_equal(sol.duals, np.zeros(5))
+        assert qp.verify_kkt(prob, sol, 1e-6)
