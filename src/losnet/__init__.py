@@ -11,7 +11,6 @@ closest admissible control.
 
 from .barriers import (
     BarrierParams,
-    ConstraintRow,
     ConstraintSystem,
     assemble_system,
     h_conn,
@@ -63,11 +62,9 @@ from .sim import (
     validate_scenario,
 )
 from .topology import (
-    LosEdge,
     SpanningTree,
     WeightedLosGraph,
     build_los_graph,
-    fixed_mlccst_baseline,
     mccst_baseline,
     mlccst,
     verify_subgroup_connectivity,
@@ -80,11 +77,9 @@ __all__ = [
     "AssemblyError",
     "BarrierParams",
     "ConnectivityLossError",
-    "ConstraintRow",
     "ConstraintSystem",
     "DegenerateEdgeError",
     "InternalInvariantError",
-    "LosEdge",
     "LosEllipsoid",
     "LosnetError",
     "MveeConvergenceError",
@@ -108,7 +103,6 @@ __all__ = [
     "build_los_graph",
     "circle_formation_control",
     "discretize_obstacles",
-    "fixed_mlccst_baseline",
     "h_conn",
     "h_los",
     "h_obs",

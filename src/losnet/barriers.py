@@ -92,23 +92,12 @@ def hdot_los_coefficients(ell: LosEllipsoid, xo) -> np.ndarray:
     return ell.shape @ (xo - ell.center)
 
 
-@dataclasses.dataclass(frozen=True)
-class ConstraintRow:
-    """One linear inequality row: sum_r coefficients[r] . u_r <= bound."""
-
-    coefficients: dict[int, np.ndarray]
-    bound: float
-    kind: str
-    edge: tuple[int, int] | None = None
-    obstacle_index: int | None = None
-
-
 class ConstraintSystem:
     """The stacked inequality system over the joint control u in R^(N*d).
 
-    Rows are stored in flat arrays (each row touches at most two robots) and
-    materialized as ConstraintRow objects on demand; `dense()` produces the
-    full (A, b) pair for the QP.
+    Rows are stored in flat arrays (each row touches at most two robots), one
+    contiguous block per certificate kind (`kind_slice`); `dense()` produces
+    the full (A, b) pair for the QP.
     """
 
     def __init__(
@@ -121,7 +110,6 @@ class ConstraintSystem:
         vec_b: np.ndarray,
         bounds: np.ndarray,
         kind_slices: dict[str, slice],
-        edges: np.ndarray,
         obstacle_indices: np.ndarray,
     ):
         self.n_robots = int(n_robots)
@@ -132,9 +120,7 @@ class ConstraintSystem:
         self._vec_b = vec_b
         self.bounds = bounds
         self._kind_slices = kind_slices
-        self._edges = edges
         self._obstacle_indices = obstacle_indices
-        self._rows_cache: list[ConstraintRow] | None = None
         self._packed_cache: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -143,36 +129,6 @@ class ConstraintSystem:
     @property
     def n_rows(self) -> int:
         return len(self)
-
-    def kind_of(self, k: int) -> str:
-        for kind, sl in self._kind_slices.items():
-            if sl.start <= k < sl.stop:
-                return kind
-        return "generic"
-
-    @property
-    def rows(self) -> list[ConstraintRow]:
-        if self._rows_cache is None:
-            rows = []
-            for k in range(len(self)):
-                coeff = {int(self._robot_a[k]): self._vec_a[k].copy()}
-                if self._robot_b[k] >= 0:
-                    coeff[int(self._robot_b[k])] = self._vec_b[k].copy()
-                edge = None
-                if self._edges[k, 0] >= 0:
-                    edge = (int(self._edges[k, 0]), int(self._edges[k, 1]))
-                obs = int(self._obstacle_indices[k]) if self._obstacle_indices[k] >= 0 else None
-                rows.append(
-                    ConstraintRow(
-                        coefficients=coeff,
-                        bound=float(self.bounds[k]),
-                        kind=self.kind_of(k),
-                        edge=edge,
-                        obstacle_index=obs,
-                    )
-                )
-            self._rows_cache = rows
-        return self._rows_cache
 
     def count(self, kind: str) -> int:
         sl = self._kind_slices.get(kind)
@@ -263,7 +219,6 @@ class ConstraintSystem:
             vec_b=self._vec_b[idx],
             bounds=self.bounds[idx],
             kind_slices=kind_slices,
-            edges=self._edges[idx],
             obstacle_indices=self._obstacle_indices[idx],
         )
         if self._packed_cache is not None:
@@ -352,12 +307,11 @@ def assemble_system(
     blocks_rb: list[np.ndarray] = []
     blocks_vb: list[np.ndarray] = []
     blocks_bd: list[np.ndarray] = []
-    blocks_edge: list[np.ndarray] = []
     blocks_obs: list[np.ndarray] = []
     kind_slices: dict[str, slice] = {}
     total = 0
 
-    def push(kind, ra, va, rb, vb, bd, edge_arr, obs_arr):
+    def push(kind, ra, va, rb, vb, bd, obs_arr):
         nonlocal total
         m = bd.size
         blocks_ra.append(ra)
@@ -365,7 +319,6 @@ def assemble_system(
         blocks_rb.append(rb)
         blocks_vb.append(vb)
         blocks_bd.append(bd)
-        blocks_edge.append(edge_arr)
         blocks_obs.append(obs_arr)
         kind_slices[kind] = slice(total, total + m)
         total += m
@@ -386,7 +339,6 @@ def assemble_system(
             small[keep].astype(np.int64),
             g,
             gamma * (dist2[keep] - params.r_safety**2),
-            np.stack([small[keep], large[keep]], axis=1).astype(np.int64),
             np.full(int(keep.sum()), -1, dtype=np.int64),
         )
     else:
@@ -407,7 +359,6 @@ def assemble_system(
             np.full(ridx.size, -1, dtype=np.int64),
             np.zeros((ridx.size, d)),
             gamma * (dist2[ridx, oidx] - params.r_obstacle**2),
-            np.full((ridx.size, 2), -1, dtype=np.int64),
             oidx.astype(np.int64),
         )
     else:
@@ -427,7 +378,6 @@ def assemble_system(
             e[:, 1],
             -g,
             gamma * (params.r_comm**2 - dist2),
-            e,
             np.full(e.shape[0], -1, dtype=np.int64),
         )
     else:
@@ -455,7 +405,6 @@ def assemble_system(
             e_arr[eidx, 1],
             v[eidx, oidx],
             gamma * h[eidx, oidx],
-            e_arr[eidx],
             oidx.astype(np.int64),
         )
     else:
@@ -470,7 +419,6 @@ def assemble_system(
         vec_b=np.vstack(blocks_vb),
         bounds=np.concatenate(blocks_bd),
         kind_slices=kind_slices,
-        edges=np.vstack(blocks_edge),
         obstacle_indices=np.concatenate(blocks_obs),
     )
 
@@ -482,6 +430,5 @@ def _empty_block(d: int):
         np.zeros(0, dtype=np.int64),
         np.zeros((0, d)),
         np.zeros(0),
-        np.zeros((0, 2), dtype=np.int64),
         np.zeros(0, dtype=np.int64),
     )

@@ -312,7 +312,8 @@ AGGREGATE_FIELDS = (
 
 def write_aggregate(results: dict[tuple[int, int], dict], out_dir: Path) -> None:
     """aggregate.csv: per team size, mean and population standard deviation of
-    each per-run scalar over the trials."""
+    each per-run scalar over the trials. Trial values that are all equal
+    (obstacle-free runs report an infinite clearance) have std 0.0."""
     sizes = sorted({s for s, _ in results})
     header = ["size", "trials"]
     for f in AGGREGATE_FIELDS:
@@ -323,7 +324,8 @@ def write_aggregate(results: dict[tuple[int, int], dict], out_dir: Path) -> None
         row: list[str] = [str(size), str(len(trials))]
         for f in AGGREGATE_FIELDS:
             vals = np.array([results[(size, t)][f] for t in trials])
-            row += [_fmt(float(np.mean(vals))), _fmt(float(np.std(vals)))]
+            std = 0.0 if np.all(vals == vals[0]) else float(np.std(vals))
+            row += [_fmt(float(np.mean(vals))), _fmt(std)]
         lines.append(",".join(row))
     (out_dir / "aggregate.csv").write_text("\n".join(lines) + "\n")
 

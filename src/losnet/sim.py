@@ -23,7 +23,6 @@ from .geometry import (
     ObstacleField,
     Polygon,
     discretize_obstacles,
-    mvee_closed_form,
     points_strictly_inside,
     segments_occluded,
 )
@@ -33,6 +32,7 @@ from .topology import (
     build_los_graph,
     mccst_baseline,
     mlccst,
+    tree_ellipsoids,
     verify_subgroup_connectivity,
     weigh_edges,
 )
@@ -227,20 +227,19 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         return issues
 
     if n >= 2:
-        graph = build_los_graph(x, field, p)
-        pairs = [e.pair for e in graph.edges]
-        if _lambda2_from_edges(n, pairs) <= LAMBDA2_TOL:
+        edges = build_los_graph(x, field, p).edges
+        if _lambda2_from_edges(n, edges) <= LAMBDA2_TOL:
             issues.append(
                 "initial sight-line graph is disconnected; the maintenance guarantee "
                 "requires the team to start globally and per-subgroup sight-line connected"
             )
         else:
             for label in np.unique(scenario.subgroups):
-                members = set(np.nonzero(scenario.subgroups == label)[0].tolist())
-                sub_pairs = [e for e in pairs if e[0] in members and e[1] in members]
-                relabel = {v: k for k, v in enumerate(sorted(members))}
-                sub = [(relabel[i], relabel[j]) for i, j in sub_pairs]
-                if len(members) >= 2 and _lambda2_from_edges(len(members), sub) <= LAMBDA2_TOL:
+                members = scenario.subgroups == label
+                local = np.cumsum(members) - 1  # index of each member within its subgroup
+                sub = local[edges[members[edges].all(axis=1)]]
+                count = int(members.sum())
+                if count >= 2 and _lambda2_from_edges(count, sub) <= LAMBDA2_TOL:
                     issues.append(
                         f"subgroup {int(label)} starts sight-line disconnected; the "
                         "maintenance guarantee requires initial per-subgroup connectivity"
@@ -276,6 +275,7 @@ class StepMetrics:
     solver_status: str
     step_wall_time: float
     tree_fallback: bool = False
+    occluded_tree_edges: int = 0
 
 
 @dataclasses.dataclass
@@ -354,15 +354,16 @@ def min_obstacle_distance(positions, field: ObstacleField) -> float:
     )
 
 
-def _lambda2_from_edges(n: int, pairs) -> float:
+def _lambda2_from_edges(n: int, edges) -> float:
+    """Second-smallest eigenvalue of the 0/1 Laplacian of n nodes and the
+    given (E, 2) edge array. Entries are small integers, hence exact."""
     if n < 2:
         return 0.0
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     lap = np.zeros((n, n))
-    for i, j in pairs:
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
+    np.add.at(lap, (e[:, 0], e[:, 1]), -1.0)
+    np.add.at(lap, (e[:, 1], e[:, 0]), -1.0)
+    lap[np.diag_indices(n)] = np.bincount(e.ravel(), minlength=n)
     return float(np.linalg.eigvalsh(lap)[1])
 
 
@@ -377,11 +378,10 @@ def lambda2_los(states, field: ObstacleField, params: BarrierParams) -> float:
     dist = np.linalg.norm(x[large] - x[small], axis=1)
     in_range = dist <= params.r_comm
     small, large = small[in_range], large[in_range]
-    pairs: list[tuple[int, int]] = []
     if small.size:
-        occ = segments_occluded(x[small], x[large], field)
-        pairs = [(int(i), int(j)) for i, j, o in zip(small, large, occ) if not o]
-    return _lambda2_from_edges(n, pairs)
+        clear = ~segments_occluded(x[small], x[large], field)
+        small, large = small[clear], large[clear]
+    return _lambda2_from_edges(n, np.stack([small, large], axis=1))
 
 
 def _select_tree(
@@ -390,15 +390,17 @@ def _select_tree(
     graph: WeightedLosGraph,
     positions: np.ndarray,
     u_hat: np.ndarray,
-) -> tuple[SpanningTree, bool, WeightedLosGraph | None]:
-    """Tree for this step per the configured method. Falls back to the
-    previously enforced tree when the graph no longer spans, which keeps the
-    run going (and is the expected behavior of the range-only baseline)."""
+) -> tuple[SpanningTree, bool, int]:
+    """Tree for this step per the configured method, whether it is a
+    fallback, and how many of its edges the weighed graph flags `occluded`
+    (their ellipsoid test fails; only `mlccst` weighs the graph). Falls back
+    to the previously enforced tree when the graph no longer spans, which
+    keeps the run going (and is the expected behavior of the range-only
+    baseline)."""
     method = scenario.method
     fallback = False
-    weighted: WeightedLosGraph | None = None
     if method == "fixed" and state.tree is not None:
-        return state.tree, False, None
+        return state.tree, False, 0
     if method == "mccst":
         try:
             tree = mccst_baseline(positions, u_hat, scenario.params, scenario.subgroups)
@@ -406,7 +408,7 @@ def _select_tree(
             if state.tree is None:
                 raise
             tree, fallback = state.tree, True
-        return tree, fallback, None
+        return tree, fallback, 0
     weighted = weigh_edges(
         graph, positions, u_hat, scenario.field, scenario.params,
         subgroups=scenario.subgroups,
@@ -417,7 +419,8 @@ def _select_tree(
         if state.tree is None:
             raise
         tree, fallback = state.tree, True
-    return tree, fallback, weighted
+    flagged = set(map(tuple, weighted.edges[weighted.occluded].tolist()))
+    return tree, fallback, sum(e in flagged for e in tree.edges)
 
 
 def step(state: SimState, scenario: Scenario) -> tuple[SimState, StepMetrics]:
@@ -434,19 +437,10 @@ def step(state: SimState, scenario: Scenario) -> tuple[SimState, StepMetrics]:
     u_hat = nominal_controls(x, scenario)
 
     graph = build_los_graph(x, field, params)
-    tree, fallback, weighted = _select_tree(state, scenario, graph, x, u_hat)
-
-    if scenario.method == "mccst":
-        ellipsoids = None
-    else:
-        available = (weighted or graph).ellipsoids()
-        ellipsoids = {}
-        for e in tree.edges:
-            ellipsoids[e] = (
-                available[e]
-                if e in available
-                else mvee_closed_form(x[e[0]], x[e[1]], params.delta)
-            )
+    tree, fallback, occluded_edges = _select_tree(state, scenario, graph, x, u_hat)
+    ellipsoids = (
+        None if scenario.method == "mccst" else tree_ellipsoids(x, tree, params.delta)
+    )
 
     safety_cutoff = (
         params.r_comm + 2.0 * params.u_max * scenario.dt
@@ -484,7 +478,7 @@ def step(state: SimState, scenario: Scenario) -> tuple[SimState, StepMetrics]:
         headings = None
         new_x = x + u * scenario.dt
 
-    lam2 = _lambda2_from_edges(graph.n_robots, [e.pair for e in graph.edges])
+    lam2 = _lambda2_from_edges(graph.n_robots, graph.edges)
     diff = u - u_hat
     metrics = StepMetrics(
         t=state.t,
@@ -497,6 +491,7 @@ def step(state: SimState, scenario: Scenario) -> tuple[SimState, StepMetrics]:
         solver_status=solution.status,
         step_wall_time=time.perf_counter() - t_start,
         tree_fallback=fallback,
+        occluded_tree_edges=occluded_edges,
     )
     next_state = SimState(
         positions=new_x,
@@ -542,12 +537,14 @@ def run(scenario: Scenario) -> RunRecord:
         verify_subgroup_connectivity(SpanningTree(m.tree_edges, 0.0), scenario.subgroups)
         for m in metrics
     )
+    # Each step's metrics hold the distances at the state it started from;
+    # only the final state is left to measure.
     d_min_robot_all = min(
-        (min_pairwise_distance(positions[k]) for k in range(steps + 1)), default=math.inf
+        [m.d_min_robot for m in metrics] + [min_pairwise_distance(state.positions)]
     )
     d_min_obs_all = min(
-        (min_obstacle_distance(positions[k], scenario.field) for k in range(steps + 1)),
-        default=math.inf,
+        [m.d_min_obstacle for m in metrics]
+        + [min_obstacle_distance(state.positions, scenario.field)]
     )
     summary = {
         "method": scenario.method,
@@ -565,6 +562,7 @@ def run(scenario: Scenario) -> RunRecord:
         "mean_step_wall_time": float(np.mean([m.step_wall_time for m in metrics])) if metrics else 0.0,
         "total_wall_time": float(total_wall),
         "tree_fallback_count": int(sum(m.tree_fallback for m in metrics)),
+        "occluded_tree_edge_steps": int(sum(m.occluded_tree_edges > 0 for m in metrics)),
         "solver_fallback_count": int(
             sum(m.solver_status == qp.STATUS_FALLBACK_ZERO for m in metrics)
         ),

@@ -1,26 +1,34 @@
 """Sight-line communication graph construction, edge scoring, and the
 spanning-tree topology optimizer.
 
+The candidate graph is a struct of arrays: an (E, 2) array of robot pairs
+(i < j) plus one (E,) array per edge attribute, carried unchanged in shape
+from `build_los_graph` through `weigh_edges` to the tree optimizer. No
+per-edge object or ellipsoid is built; the sight-line ellipsoid of an edge is
+fixed by its endpoints and the thickness delta, so the scores use its axis
+form directly and `tree_ellipsoids` builds ellipsoid objects for the N-1
+maintained edges only.
+
 Each candidate edge gets a score saying how unlikely its maintenance
 constraints are to be violated under the nominal controls: w_d for the range
 constraint, w_los averaged over all obstacle boundary points for the
 occlusion constraint, and w_dlos as their sum. Edges whose ellipsoid test
-already fails get a large negative sentinel instead, and same-subgroup edges
-are amplified so the tree connects every subgroup internally before bridging
-between subgroups. The maintained topology is then the maximum-weight
-spanning tree, computed by Kruskal over union-find with a lexicographic
-tie-break so runs are bit-reproducible.
+already fails are flagged `occluded` and get a large negative sentinel
+instead, and same-subgroup edges are amplified so the tree connects every
+subgroup internally before bridging between subgroups. The maintained
+topology is then the maximum-weight spanning tree, computed by Kruskal over
+union-find with a lexicographic (-w, i, j) tie-break so runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
 from .barriers import BarrierParams
-from .errors import ConnectivityLossError, WeightOrderingError
+from .errors import ConnectivityLossError, DegenerateEdgeError, WeightOrderingError
 from .geometry import (
     LosEllipsoid,
     ObstacleField,
@@ -30,38 +38,25 @@ from .geometry import (
 
 
 @dataclasses.dataclass
-class LosEdge:
-    """One candidate communication edge (i < j) with its sight-line ellipsoid
-    and, after weighing, its scores. `w_prime` is the effective weight the
-    tree optimizer sorts on."""
-
-    i: int
-    j: int
-    ellipsoid: LosEllipsoid | None
-    w_d: float | None = None
-    w_los: float | None = None
-    w_dlos: float | None = None
-    w_prime: float | None = None
-    occluded_ellipsoid: bool = False
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.i, self.j)
-
-
-@dataclasses.dataclass
 class WeightedLosGraph:
+    """Candidate edges `edges`, an (E, 2) int64 array of pairs (i < j), with
+    parallel (E,) score arrays that stay None until `weigh_edges` fills them.
+    `w_prime` is the effective weight the tree optimizer sorts on; `occluded`
+    marks edges whose ellipsoid test fails."""
+
     n_robots: int
     subgroups: np.ndarray
-    edges: list[LosEdge]
+    edges: np.ndarray
+    w_d: np.ndarray | None = None
+    w_los: np.ndarray | None = None
+    w_dlos: np.ndarray | None = None
+    w_prime: np.ndarray | None = None
+    occluded: np.ndarray | None = None
     epsilon: float | None = None
     lam: float | None = None
 
-    def edge_map(self) -> dict[tuple[int, int], LosEdge]:
-        return {e.pair: e for e in self.edges}
-
-    def ellipsoids(self) -> dict[tuple[int, int], LosEllipsoid]:
-        return {e.pair: e.ellipsoid for e in self.edges if e.ellipsoid is not None}
+    def __post_init__(self):
+        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,26 +99,31 @@ class UnionFind:
 def build_los_graph(states, field: ObstacleField, params: BarrierParams) -> WeightedLosGraph:
     """Candidate graph: edge (i, j) present iff the robots are within
     communication range and the exact segment between them is occlusion-free.
-    Each edge carries its closed-form sight-line ellipsoid. Weights are unset.
+    Edges come in (i, j) lexicographic order; weights are unset.
+
+    Raises DegenerateEdgeError if a candidate edge is no longer than twice the
+    ellipsoid thickness, since its sight-line ellipsoid is then undefined.
     """
     x = np.asarray(states, dtype=np.float64)
     n = x.shape[0]
     small, large = np.triu_indices(n, 1)
     if small.size:
-        diff = x[large] - x[small]
-        dist = np.linalg.norm(diff, axis=1)
+        dist = np.linalg.norm(x[large] - x[small], axis=1)
         in_range = dist <= params.r_comm
-        small, large = small[in_range], large[in_range]
-    edges: list[LosEdge] = []
+        small, large, dist = small[in_range], large[in_range], dist[in_range]
     if small.size:
-        occluded = segments_occluded(x[small], x[large], field)
-        small, large = small[~occluded], large[~occluded]
-        ells = mvee_closed_form_batch(x[small], x[large], params.delta)
-        edges = [
-            LosEdge(i=int(i), j=int(j), ellipsoid=ell)
-            for i, j, ell in zip(small, large, ells)
-        ]
-    return WeightedLosGraph(n_robots=n, subgroups=np.zeros(n, dtype=np.int64), edges=edges)
+        clear = ~segments_occluded(x[small], x[large], field)
+        small, large, dist = small[clear], large[clear], dist[clear]
+        if np.any(dist <= 2.0 * params.delta):
+            k = int(np.argmin(dist))
+            raise DegenerateEdgeError(
+                f"edge length {dist[k]:.6g} must exceed twice the thickness {params.delta:.6g}"
+            )
+    return WeightedLosGraph(
+        n_robots=n,
+        subgroups=np.zeros(n, dtype=np.int64),
+        edges=np.stack([small, large], axis=1),
+    )
 
 
 def weigh_edges(
@@ -144,6 +144,8 @@ def weigh_edges(
              the edge ellipsoid (occluded by the conservative test)
     w_prime = lam * w_dlos on same-subgroup edges, w_dlos otherwise
 
+    The edge ellipsoid has center (xi + xj)/2, semi-axis |xj - xi|/2 along
+    the edge and `params.delta` across it, as built by `mvee_closed_form`.
     With explicit `lam`/`epsilon` the scaling is applied verbatim. By default
     both are calibrated from the realized weights: non-sentinel weights are
     shifted to a common positive range before the subgroup amplification, so
@@ -158,20 +160,17 @@ def weigh_edges(
     subgroups = np.asarray(subgroups, dtype=np.int64)
     pts = field.points
     gamma = params.gamma
-    n_edges = len(graph.edges)
+    ii, jj = graph.edges[:, 0], graph.edges[:, 1]
+    n_edges = ii.size
 
-    if n_edges:
-        ii = np.array([e.i for e in graph.edges], dtype=np.int64)
-        jj = np.array([e.j for e in graph.edges], dtype=np.int64)
-        diff = x[ii] - x[jj]
-        w_d_vals = (
-            -2.0 * np.einsum("ed,ed->e", diff, u_hat[ii] - u_hat[jj])
-            + gamma * (params.r_comm**2 - np.einsum("ed,ed->e", diff, diff))
-        )
-    else:
-        w_d_vals = np.zeros(0)
+    diff = x[ii] - x[jj]
+    w_d_vals = (
+        -2.0 * np.einsum("ed,ed->e", diff, u_hat[ii] - u_hat[jj])
+        + gamma * (params.r_comm**2 - np.einsum("ed,ed->e", diff, diff))
+    )
 
-    if n_edges and pts.shape[0] and all(e.ellipsoid is not None for e in graph.edges):
+    occluded_flags = np.zeros(n_edges, dtype=bool)
+    if n_edges and pts.shape[0]:
         # The per-point average reduces to the static point moments (sum of
         # points and of their outer products), because h and its derivative
         # are quadratic/linear in the point coordinates; only the occlusion
@@ -185,8 +184,8 @@ def weigh_edges(
         axis = x[jj] - x[ii]
         length = np.linalg.norm(axis, axis=1)
         axis = axis / length[:, None]
-        a2 = np.array([e.ellipsoid.major_axis_half_length for e in graph.edges]) ** 2
-        d2 = np.array([e.ellipsoid.thickness for e in graph.edges]) ** 2
+        a2 = (0.5 * length) ** 2
+        d2 = params.delta**2
         usum = u_hat[ii] + u_hat[jj]
         coef = 1.0 / a2 - 1.0 / d2
         c_dot_u = np.einsum("ed,ed->e", centers, axis)
@@ -207,42 +206,30 @@ def weigh_edges(
             - 2.0 * (pts @ centers.T)
             + np.einsum("ed,ed->e", centers, centers)[None, :]
         )
-        occluded_flags = np.zeros(n_edges, dtype=bool)
         fidx, eidx = np.nonzero(r2 < a2[None, :])
         if fidx.size:
             rel = pts[fidx] - centers[eidx]
             s_c = np.einsum("kd,kd->k", rel, axis[eidx])
             r2_c = r2[fidx, eidx]
-            h_c = s_c**2 / a2[eidx] + (r2_c - s_c**2) / d2[eidx] - 1.0
+            h_c = s_c**2 / a2[eidx] + (r2_c - s_c**2) / d2 - 1.0
             np.logical_or.at(occluded_flags, eidx, h_c < 0.0)
     else:
         w_los_vals = np.zeros(n_edges)
-        occluded_flags = np.zeros(n_edges, dtype=bool)
 
     raw = w_d_vals + w_los_vals
-    same = (
-        subgroups[ii] == subgroups[jj] if n_edges else np.zeros(0, dtype=bool)
-    )
+    same = subgroups[ii] == subgroups[jj]
     lam_eff, eps_eff, sort_weights = _calibrate_weights(
         raw, occluded_flags, same, lam, epsilon
     )
-
-    new_edges = []
-    for k, e in enumerate(graph.edges):
-        new_edges.append(
-            dataclasses.replace(
-                e,
-                w_d=float(w_d_vals[k]),
-                w_los=float(w_los_vals[k]),
-                w_dlos=eps_eff if occluded_flags[k] else float(raw[k]),
-                w_prime=float(sort_weights[k]),
-                occluded_ellipsoid=bool(occluded_flags[k]),
-            )
-        )
     return WeightedLosGraph(
         n_robots=graph.n_robots,
         subgroups=subgroups,
-        edges=new_edges,
+        edges=graph.edges,
+        w_d=w_d_vals,
+        w_los=w_los_vals,
+        w_dlos=np.where(occluded_flags, eps_eff, raw),
+        w_prime=sort_weights,
+        occluded=occluded_flags,
         epsilon=eps_eff,
         lam=lam_eff,
     )
@@ -308,21 +295,21 @@ def _assert_weight_ordering(sort_w, occluded, same) -> None:
         floor = float(np.min(band))
 
 
-def _kruskal(n_robots: int, keyed_edges, weights) -> SpanningTree:
-    """Maximum-weight spanning tree; edges processed by (-weight, i, j)."""
-    order = sorted(range(len(keyed_edges)), key=lambda k: (-weights[k], keyed_edges[k]))
+def _kruskal(n_robots: int, edges: np.ndarray, weights: np.ndarray) -> SpanningTree:
+    """Maximum-weight spanning tree of the (E, 2) edge array; edges processed
+    by (-weight, i, j)."""
+    order = np.lexsort((edges[:, 1], edges[:, 0], -weights))
     uf = UnionFind(n_robots)
     chosen: list[tuple[int, int]] = []
     total = 0.0
-    for k in order:
-        i, j = keyed_edges[k]
+    for (i, j), w in zip(edges[order].tolist(), weights[order].tolist()):
         if uf.union(i, j):
             chosen.append((i, j))
-            total += weights[k]
+            total += w
             if len(chosen) == n_robots - 1:
                 break
     if len(chosen) != n_robots - 1:
-        raise ConnectivityLossError(components=_components(n_robots, keyed_edges))
+        raise ConnectivityLossError(components=_components(n_robots, edges.tolist()))
     return SpanningTree(edges=tuple(sorted(chosen)), total_weight=total)
 
 
@@ -340,26 +327,22 @@ def mlccst(graph: WeightedLosGraph) -> SpanningTree:
     """Maximum-weight spanning tree of the weighed sight-line graph.
 
     Raises ConnectivityLossError (listing components) if the graph does not
-    span all robots. Warns if the tree is forced to retain an edge whose
-    ellipsoid test failed, since its occlusion constraint starts violated.
+    span all robots. The tree keeps an edge flagged `occluded` only when no
+    spanning tree avoids one; its occlusion constraint then starts violated,
+    and `sim.step` counts such edges per step.
     """
-    for e in graph.edges:
-        if e.w_prime is None:
-            raise ValueError("graph edges are unweighted; call weigh_edges first")
-    tree = _kruskal(
-        graph.n_robots,
-        [e.pair for e in graph.edges],
-        [e.w_prime for e in graph.edges],
-    )
-    occluded = {e.pair for e in graph.edges if e.occluded_ellipsoid}
-    bad = [e for e in tree.edges if e in occluded]
-    if bad:
-        warnings.warn(
-            f"spanning tree retains {len(bad)} edge(s) whose ellipsoid test fails: {bad}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return tree
+    if graph.w_prime is None:
+        raise ValueError("graph edges are unweighted; call weigh_edges first")
+    return _kruskal(graph.n_robots, graph.edges, graph.w_prime)
+
+
+def tree_ellipsoids(
+    states, tree: SpanningTree, delta: float
+) -> dict[tuple[int, int], LosEllipsoid]:
+    """Closed-form sight-line ellipsoid of every tree edge, keyed by edge."""
+    x = np.asarray(states, dtype=np.float64)
+    ends = np.array(tree.edges, dtype=np.int64).reshape(-1, 2)
+    return dict(zip(tree.edges, mvee_closed_form_batch(x[ends[:, 0]], x[ends[:, 1]], delta)))
 
 
 def verify_subgroup_connectivity(tree: SpanningTree, subgroups) -> bool:
@@ -398,7 +381,7 @@ def mccst_baseline(
     diff = x[large] - x[small]
     dist2 = np.einsum("ij,ij->i", diff, diff)
     in_range = dist2 <= params.r_comm**2
-    pairs = [(int(i), int(j)) for i, j in zip(small[in_range], large[in_range])]
+    pairs = np.stack([small[in_range], large[in_range]], axis=1)
     w_d = (
         -2.0 * np.einsum("ij,ij->i", x[small[in_range]] - x[large[in_range]],
                          u_hat[small[in_range]] - u_hat[large[in_range]])
@@ -408,10 +391,4 @@ def mccst_baseline(
     _, _, sort_w = _calibrate_weights(
         w_d, np.zeros(len(pairs), dtype=bool), same, lam, None
     )
-    return _kruskal(n, pairs, list(sort_w))
-
-
-def fixed_mlccst_baseline(initial_tree: SpanningTree) -> SpanningTree:
-    """Frozen-topology baseline: the tree computed at the first step is
-    enforced unchanged for the whole run."""
-    return initial_tree
+    return _kruskal(n, pairs, sort_w)

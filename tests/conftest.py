@@ -22,7 +22,6 @@ def raw_system(a, b, n_vars: int | None = None) -> ConstraintSystem:
         vec_b=np.zeros((z, n_vars)),
         bounds=b.copy(),
         kind_slices={"generic": slice(0, z)},
-        edges=np.full((z, 2), -1, np.int64),
         obstacle_indices=np.full(z, -1, np.int64),
     )
 

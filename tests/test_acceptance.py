@@ -61,7 +61,7 @@ def _random_tree_instance(rng, params):
         ) < 0.12:
             continue
         graph = build_los_graph(x, ObstacleField.empty(), params)
-        pairs = [e.pair for e in graph.edges]
+        pairs = graph.edges.tolist()
         if len(pairs) > 16 or _lambda2_from_edges(n, pairs) <= LAM_TOL:
             continue
         ok = True
@@ -89,7 +89,7 @@ def _random_tree_instance(rng, params):
         # optimum. (With a subgroup severed except through a sentinel edge the
         # ordering prefers abandoning that subgroup, a case the sentinel
         # semantics leave open.)
-        clear_pairs = [e.pair for e in weighted.edges if not e.occluded_ellipsoid]
+        clear_pairs = weighted.edges[~weighted.occluded].tolist()
         if _lambda2_from_edges(n, clear_pairs) <= LAM_TOL:
             continue
         clear_ok = True
@@ -115,9 +115,9 @@ def test_01_tree_oracle_equivalence():
     checked = 0
     while checked < 500:
         n, sub, weighted = _random_tree_instance(rng, params)
-        edges = [e.pair for e in weighted.edges]
-        w_dlos = np.array([e.w_dlos for e in weighted.edges])
-        w_prime = np.array([e.w_prime for e in weighted.edges])
+        edges = list(map(tuple, weighted.edges.tolist()))
+        w_dlos = weighted.w_dlos
+        w_prime = weighted.w_prime
         expected = best_constrained_tree(n, edges, w_dlos, w_prime, sub)
         assert expected is not None
         tree = mlccst(weighted)

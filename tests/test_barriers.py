@@ -196,21 +196,22 @@ class TestAssembleSystem:
         field = _field_with_points([[0.0, 3.0]])
         ells = {(0, 1): mvee_closed_form(x[0], x[1], 0.02)}
         sys_ = assemble_system(x, field, [(0, 1)], ells, params)
-        kinds = [r.kind for r in sys_.rows]
-        assert kinds == ["safety", "obstacle", "obstacle", "connectivity", "los"]
-        safety = sys_.rows[0]
-        np.testing.assert_allclose(safety.coefficients[1], [-4.0, 0.0])
-        np.testing.assert_allclose(safety.coefficients[0], [4.0, 0.0])
-        assert safety.bound == pytest.approx(params.gamma * 3.0)  # 4 - 1
-        conn = sys_.rows[3]
-        np.testing.assert_allclose(conn.coefficients[0], [-4.0, 0.0])
-        np.testing.assert_allclose(conn.coefficients[1], [4.0, 0.0])
-        assert conn.bound == pytest.approx(params.gamma * 32.0)  # 36 - 4
-        los = sys_.rows[4]
+        slices = {k: sys_.kind_slice(k) for k in ("safety", "obstacle", "connectivity", "los")}
+        assert slices == {
+            "safety": slice(0, 1),
+            "obstacle": slice(1, 3),
+            "connectivity": slice(3, 4),
+            "los": slice(4, 5),
+        }
+        a, b = sys_.dense()  # columns: u_0 (x, y), u_1 (x, y)
+        np.testing.assert_allclose(a[0], [4.0, 0.0, -4.0, 0.0])  # safety
+        assert b[0] == pytest.approx(params.gamma * 3.0)  # 4 - 1
+        np.testing.assert_allclose(a[3], [-4.0, 0.0, 4.0, 0.0])  # connectivity
+        assert b[3] == pytest.approx(params.gamma * 32.0)  # 36 - 4
         v = hdot_los_coefficients(ells[(0, 1)], [0.0, 3.0])
-        np.testing.assert_allclose(los.coefficients[0], v)
-        np.testing.assert_allclose(los.coefficients[1], v)
-        assert los.obstacle_index == 0
+        np.testing.assert_allclose(a[4], np.concatenate([v, v]))  # los, point 0
+        h = h_los(ells[(0, 1)], [0.0, 3.0])
+        assert b[4] == pytest.approx(params.gamma * h)
 
     def test_dense_matches_rows(self, params, rng):
         x = rng.uniform(-3, 3, (4, 2)) * 2
@@ -302,7 +303,6 @@ def _two_row_system(n_robots, robot, point):
         vec_b=np.zeros((2, 2)),
         bounds=np.ones(2),
         kind_slices={"obstacle": slice(0, 2)},
-        edges=np.full((2, 2), -1, np.int64),
         obstacle_indices=np.array([0, point], np.int64),
     )
 

@@ -219,6 +219,7 @@ class TestSweep:
         ]
         assert (tmp_path / "sweep" / "aggregate.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_aggregate_recomputes_from_run_csvs(self, tmp_path):
         scenario = write_scenario(tmp_path, MINIMAL)
         out = tmp_path / "sweep"
@@ -245,13 +246,14 @@ class TestSweep:
             per_run["lambda2_min"].append(np.min([float(r["lambda2"]) for r in data]))
             per_run["perturbation"].append(np.mean([float(r["perturbation"]) for r in data]))
         for field, values in per_run.items():
-            # inf propagates for obstacle-free runs (mean inf, std nan).
-            assert np.isclose(
-                float(agg[f"{field}_mean"]), np.mean(values), atol=1e-12, equal_nan=True
-            )
-            assert np.isclose(
-                float(agg[f"{field}_std"]), np.std(values), atol=1e-12, equal_nan=True
-            )
+            assert np.isclose(float(agg[f"{field}_mean"]), np.mean(values), atol=1e-12)
+            if np.all(np.isinf(values)):
+                # Obstacle-free runs: every clearance is inf, and equal trial
+                # values spread by exactly 0.
+                assert field == "d_min_obstacle"
+                assert float(agg[f"{field}_std"]) == 0.0
+            else:
+                assert np.isclose(float(agg[f"{field}_std"]), np.std(values), atol=1e-12)
 
     def test_sweep_placements_deterministic(self, tmp_path):
         scenario = write_scenario(tmp_path, MINIMAL)

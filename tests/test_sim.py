@@ -10,6 +10,7 @@ from losnet.errors import ScenarioValidationError
 from losnet.geometry import ObstacleField, Polygon
 from losnet.sim import (
     Scenario,
+    _lambda2_from_edges,
     initial_state,
     lambda2_los,
     min_obstacle_distance,
@@ -63,6 +64,26 @@ class TestLambda2:
         )
         x = np.array([[0.0, 0.0], [0.5, 0.0]])
         assert lambda2_los(x, field, PARAMS) == pytest.approx(0.0, abs=1e-12)
+
+    def test_laplacian_matches_dense_loop(self, rng):
+        # The Laplacian built from the edge arrays is the one a per-edge loop
+        # builds, entry for entry, so the eigenvalue is bit-identical.
+        for _ in range(50):
+            n = int(rng.integers(2, 14))
+            i, j = np.triu_indices(n, 1)
+            keep = rng.random(i.size) < rng.uniform(0.0, 0.8)
+            edges = np.stack([i[keep], j[keep]], axis=1)[rng.permutation(int(keep.sum()))]
+            lap = np.zeros((n, n))
+            for a, b in edges.tolist():
+                lap[a, a] += 1.0
+                lap[b, b] += 1.0
+                lap[a, b] -= 1.0
+                lap[b, a] -= 1.0
+            expected = float(np.linalg.eigvalsh(lap)[1])
+            assert _lambda2_from_edges(n, edges) == expected
+            assert _lambda2_from_edges(n, edges.tolist()) == expected
+        assert _lambda2_from_edges(3, np.zeros((0, 2), np.int64)) == 0.0
+        assert _lambda2_from_edges(1, np.zeros((0, 2), np.int64)) == 0.0
 
 
 class TestStep:
