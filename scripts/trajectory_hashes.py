@@ -6,17 +6,25 @@ prints the sha256 of `trajectory.jsonl` and of `metrics.csv` with its
 `step_wall_time` column removed, the only output that depends on the clock.
 A change that leaves the math alone must leave every hash unchanged.
 
+BLAS and OpenMP are pinned to one thread before numpy is imported, as the
+benchmark (`perfbench/run.py`) pins them: `two_rooms_64` hashes differently
+with two BLAS threads, so the gate would otherwise depend on the machine.
+
 Run from the repo root:  PYTHONPATH=src python3 scripts/trajectory_hashes.py [name ...]
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from losnet import cli, scenarios, sim
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from losnet import cli, scenarios, sim  # noqa: E402
 
 
 def output_hashes(name: str) -> tuple[str, str]:

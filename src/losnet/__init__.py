@@ -19,13 +19,7 @@ from .barriers import (
     h_safe,
     hdot_los_coefficients,
 )
-from .behaviors import (
-    TaskSite,
-    UnicycleState,
-    circle_formation_control,
-    rendezvous_control,
-    unicycle_map,
-)
+from .behaviors import TaskSite
 from .errors import (
     AssemblyError,
     ConnectivityLossError,
@@ -96,12 +90,10 @@ __all__ = [
     "SpanningTree",
     "StepMetrics",
     "TaskSite",
-    "UnicycleState",
     "WeightOrderingError",
     "WeightedLosGraph",
     "assemble_system",
     "build_los_graph",
-    "circle_formation_control",
     "discretize_obstacles",
     "h_conn",
     "h_los",
@@ -115,13 +107,11 @@ __all__ = [
     "mvee_closed_form",
     "mvee_khachiyan",
     "mvee_points",
-    "rendezvous_control",
     "run",
     "segment_occluded",
     "segments_occluded",
     "solve",
     "step",
-    "unicycle_map",
     "validate_scenario",
     "verify_kkt",
     "verify_subgroup_connectivity",

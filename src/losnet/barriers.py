@@ -274,9 +274,6 @@ def assemble_system(
     tree_edges: Iterable[tuple[int, int]],
     ellipsoids: Mapping[tuple[int, int], LosEllipsoid] | None,
     params: BarrierParams,
-    *,
-    safety_cutoff: float | None = None,
-    obstacle_cutoff: float | None = None,
 ) -> ConstraintSystem:
     """Build the full certificate row system in deterministic order:
     safety, obstacle, connectivity, los.
@@ -285,8 +282,8 @@ def assemble_system(
     point); each maintained edge adds one connectivity row plus one los row
     per boundary point, using the edge's ellipsoid. Passing ellipsoids=None
     skips the los rows entirely (range-only maintenance, used by the
-    range-tree baseline). The optional cutoffs drop pairs/points too far away
-    to ever activate; they default to off.
+    range-tree baseline). Rows no allowed control can violate are kept here;
+    `qp.solve` drops them with its exact screen.
 
     Raises AssemblyError if a tree edge has no ellipsoid.
     """
@@ -328,18 +325,15 @@ def assemble_system(
     if small.size:
         diff = x[large] - x[small]
         dist2 = np.einsum("ij,ij->i", diff, diff)
-        keep = np.ones(small.size, dtype=bool)
-        if safety_cutoff is not None:
-            keep = dist2 <= safety_cutoff**2
-        g = 2.0 * diff[keep]
+        g = 2.0 * diff
         push(
             KIND_SAFETY,
-            large[keep].astype(np.int64),
+            large.astype(np.int64),
             -g,
-            small[keep].astype(np.int64),
+            small.astype(np.int64),
             g,
-            gamma * (dist2[keep] - params.r_safety**2),
-            np.full(int(keep.sum()), -1, dtype=np.int64),
+            gamma * (dist2 - params.r_safety**2),
+            np.full(small.size, -1, dtype=np.int64),
         )
     else:
         push(KIND_SAFETY, *_empty_block(d))
@@ -347,19 +341,16 @@ def assemble_system(
     # Obstacle: robot-major, then boundary-point order.
     if f and n:
         diff = x[:, None, :] - pts[None, :, :]  # (n, f, d)
-        dist2 = np.einsum("nfd,nfd->nf", diff, diff)
-        keep = np.ones((n, f), dtype=bool)
-        if obstacle_cutoff is not None:
-            keep = dist2 <= obstacle_cutoff**2
-        ridx, oidx = np.nonzero(keep)
+        dist2 = np.einsum("nfd,nfd->nf", diff, diff).ravel()
+        diff = diff.reshape(-1, d)  # (n * f, d), robot-major
         push(
             KIND_OBSTACLE,
-            ridx.astype(np.int64),
-            -2.0 * diff[ridx, oidx],
-            np.full(ridx.size, -1, dtype=np.int64),
-            np.zeros((ridx.size, d)),
-            gamma * (dist2[ridx, oidx] - params.r_obstacle**2),
-            oidx.astype(np.int64),
+            np.repeat(np.arange(n, dtype=np.int64), f),
+            -2.0 * diff,
+            np.full(n * f, -1, dtype=np.int64),
+            np.zeros((n * f, d)),
+            gamma * (dist2 - params.r_obstacle**2),
+            np.tile(np.arange(f, dtype=np.int64), n),
         )
     else:
         push(KIND_OBSTACLE, *_empty_block(d))
@@ -391,21 +382,15 @@ def assemble_system(
         rel = pts[None, :, :] - centers[:, None, :]  # (t, f, d)
         v = rel @ q  # batched matmul; Q symmetric, rows are Q (xo - c)
         h = np.sum(rel * v, axis=2) - 1.0
-        keep = np.ones((len(edges_sorted), f), dtype=bool)
-        if obstacle_cutoff is not None:
-            reach = obstacle_cutoff + np.array(
-                [ellipsoids[e].major_axis_half_length for e in edges_sorted]
-            )
-            keep = np.sum(rel * rel, axis=2) <= (reach**2)[:, None]
-        eidx, oidx = np.nonzero(keep)
+        v = v.reshape(-1, d)  # (t * f, d), edge-major
         push(
             KIND_LOS,
-            e_arr[eidx, 0],
-            v[eidx, oidx],
-            e_arr[eidx, 1],
-            v[eidx, oidx],
-            gamma * h[eidx, oidx],
-            oidx.astype(np.int64),
+            np.repeat(e_arr[:, 0], f),
+            v,
+            np.repeat(e_arr[:, 1], f),
+            v,
+            gamma * h.ravel(),
+            np.tile(np.arange(f, dtype=np.int64), len(edges_sorted)),
         )
     else:
         push(KIND_LOS, *_empty_block(d))

@@ -1,9 +1,10 @@
-"""Nominal task controllers and the optional unicycle output mapping.
+"""Task sites of the subgroups and the slot arithmetic of circle formations.
 
-The control laws here are deliberately simple proportional-to-target rules
-with a speed cap; the simulation perturbs them as little as the certificates
-allow, so the interesting behavior comes from the filter, not from the
-nominal controllers.
+The nominal controller itself is `sim.nominal_controls`: a proportional pull
+towards each robot's target (its subgroup's rendezvous point, or its slot on
+the formation circle) with a speed cap. It is deliberately simple; the
+simulation perturbs it as little as the certificates allow, so the
+interesting behavior comes from the filter, not from the nominal controller.
 """
 
 from __future__ import annotations
@@ -32,61 +33,8 @@ class TaskSite:
             raise ValueError("circle sites need a positive radius")
 
 
-@dataclasses.dataclass(frozen=True)
-class UnicycleState:
-    position: np.ndarray
-    heading: float
-    lookahead: float
-
-    def __post_init__(self):
-        if self.lookahead <= 0:
-            raise ValueError("lookahead must be positive")
-        p = np.asarray(self.position, dtype=np.float64).ravel()
-        p.setflags(write=False)
-        object.__setattr__(self, "position", p)
-
-
-def _clip_speed(u: np.ndarray, cap: float) -> np.ndarray:
-    speed = float(np.linalg.norm(u))
-    if speed > cap:
-        return u * (cap / speed)
-    return u
-
-
-def rendezvous_control(xi, site: TaskSite, gain: float, cap: float) -> np.ndarray:
-    """Proportional attraction to the site position, speed-capped."""
-    if gain <= 0:
-        raise ValueError("gain must be positive")
-    u = gain * (site.position - np.asarray(xi, dtype=np.float64))
-    return _clip_speed(u, cap)
-
-
 def circle_slot(site: TaskSite, slot_index: int, n_slots: int) -> np.ndarray:
     """Slot position on the formation circle; slot angles split the circle
     evenly starting from angle zero."""
     theta = 2.0 * math.pi * slot_index / n_slots
     return site.position + site.radius * np.array([math.cos(theta), math.sin(theta)])
-
-
-def circle_formation_control(
-    xi, slot_index: int, n_slots: int, site: TaskSite, gain: float, cap: float
-) -> np.ndarray:
-    """Proportional attraction to the robot's fixed slot on the circle."""
-    if n_slots < 1:
-        raise ValueError("need at least one slot")
-    target = circle_slot(site, slot_index, n_slots)
-    u = gain * (target - np.asarray(xi, dtype=np.float64))
-    return _clip_speed(u, cap)
-
-
-def unicycle_map(u, state: UnicycleState) -> tuple[float, float]:
-    """Near-identity mapping from a planar velocity command to unicycle
-    (v, omega): v is the command component along the heading, omega turns the
-    lookahead point onto the lateral component."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    if u.size != 2:
-        raise ValueError("unicycle mapping is planar")
-    c, s = math.cos(state.heading), math.sin(state.heading)
-    v = c * u[0] + s * u[1]
-    omega = (-s * u[0] + c * u[1]) / state.lookahead
-    return v, omega

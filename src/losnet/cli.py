@@ -1,7 +1,8 @@
 """Scenario loading, run orchestration, and file outputs.
 
 Scenario files are JSON with keys `robots`, `obstacles`, `sites`, `params`,
-`method`, `seed` (see README for the full schema). Each run writes
+`method`, `seed` (see README for the full schema); a key the schema does not
+name is rejected. Each run writes
 metrics.csv, trajectory.jsonl, and summary.json into its output directory;
 sweep mode additionally writes aggregate.csv with mean and standard deviation
 per team size.
@@ -41,6 +42,11 @@ METRICS_COLUMNS = (
 
 PARAM_DEFAULTS = {"gamma": 1.0, "delta": 0.02, "dt": 0.02, "R_s": 0.04, "u_max": 1.0}
 PARAM_REQUIRED = ("R_obs", "R_c", "steps")
+PARAM_KEYS = (*PARAM_DEFAULTS, *PARAM_REQUIRED)
+TOP_LEVEL_KEYS = (
+    "robots", "obstacles", "sites", "params", "method", "seed",
+    "spacing", "nominal_gain", "comm_margin",
+)
 
 
 @dataclasses.dataclass
@@ -76,6 +82,7 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario | None, list[str]]:
     issues: list[str] = []
     if not isinstance(raw, dict):
         return None, ["top level must be a JSON object"]
+    issues += [f"unknown key {k!r}" for k in raw if k not in TOP_LEVEL_KEYS]
 
     robots = raw.get("robots")
     positions: list[list[float]] = []
@@ -114,6 +121,7 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario | None, list[str]]:
 
     pr = dict(PARAM_DEFAULTS)
     pr.update(raw.get("params", {}) or {})
+    issues += [f"unknown key 'params.{k}'" for k in pr if k not in PARAM_KEYS]
     for key in PARAM_REQUIRED:
         if key not in pr:
             issues.append(f"params.{key} is required")
@@ -144,15 +152,9 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario | None, list[str]]:
         steps=int(pr.get("steps", 0)),
         method=str(raw.get("method", "mlccst")),
         seed=int(raw.get("seed", 0)),
-        dynamics=str(raw.get("dynamics", "single")),
-        lookahead=float(raw.get("lookahead", 0.05)),
         spacing=(float(raw["spacing"]) if "spacing" in raw else None),
         nominal_gain=float(raw.get("nominal_gain", 1.0)),
         comm_margin=(float(raw["comm_margin"]) if "comm_margin" in raw else None),
-        obstacle_cutoff=(
-            float(raw["obstacle_cutoff"]) if "obstacle_cutoff" in raw else None
-        ),
-        safety_cutoff_enabled=bool(raw.get("safety_cutoff", False)),
     )
     return scenario, []
 

@@ -209,7 +209,9 @@ def _segment_candidates_per_polygon(starts, ends, poly: Polygon):
     qmp = c[None, :, :] - p[:, None, :]  # (M, E, 2)
     rr = r[:, None, :]
     den = _cross2(rr, s)  # (M, E)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A near-parallel edge can leave den subnormal, so t and u overflow; `ok`
+    # drops every such candidate through |den| > _EPS.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = _cross2(qmp, s) / den
         u = _cross2(qmp, rr) / den
     ok = (np.abs(den) > _EPS) & (t >= -1e-12) & (t <= 1 + 1e-12) & (u >= -1e-12) & (u <= 1 + 1e-12)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qp
 from .barriers import BarrierParams, assemble_system
-from .behaviors import TaskSite, UnicycleState, circle_slot, unicycle_map
+from .behaviors import TaskSite, circle_slot
 from .errors import ConnectivityLossError, ScenarioValidationError
 from .geometry import (
     ObstacleField,
@@ -44,7 +44,13 @@ LAMBDA2_TOL = 1e-9
 
 @dataclasses.dataclass(eq=False)
 class Scenario:
-    """Full description of one simulation: team, world, tasks, and knobs."""
+    """Full description of one simulation: team, world, tasks, and settings.
+
+    Robots are single integrators, x <- x + u * dt, the model every
+    certificate is written for. Each robot's nominal target is derived once
+    per scenario (`targets`): its subgroup's rendezvous point, or its slot on
+    the subgroup's formation circle.
+    """
 
     positions: np.ndarray
     subgroups: np.ndarray
@@ -55,14 +61,10 @@ class Scenario:
     steps: int = 0
     method: str = "mlccst"
     seed: int = 0
-    dynamics: str = "single"
-    lookahead: float = 0.05
     spacing: float | None = None
     nominal_gain: float = 1.0
     qp_tol: float = qp.DEFAULT_TOL
     qp_max_iter: int = qp.DEFAULT_MAX_ITER
-    safety_cutoff_enabled: bool = False
-    obstacle_cutoff: float | None = None
     comm_margin: float | None = None
 
     def __post_init__(self):
@@ -96,13 +98,20 @@ class Scenario:
         return discretize_obstacles(self.obstacles, spacing)
 
     @cached_property
-    def slots(self) -> dict[int, tuple[int, int]]:
-        """robot index -> (slot index, slot count) within its subgroup."""
-        out: dict[int, tuple[int, int]] = {}
+    def targets(self) -> np.ndarray:
+        """(N, 2) nominal target per robot: the subgroup's rendezvous point,
+        or slot k of n on its formation circle for the subgroup's k-th of n
+        robots in index order."""
+        out = np.zeros((self.n_robots, 2))
         for label in np.unique(self.subgroups):
             members = np.nonzero(self.subgroups == label)[0]
+            site = self.sites[int(label)]
             for rank, r in enumerate(members):
-                out[int(r)] = (rank, len(members))
+                out[r] = (
+                    circle_slot(site, rank, len(members))
+                    if site.kind == "circle"
+                    else site.position
+                )
         return out
 
 
@@ -140,19 +149,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "method": scenario.method,
         "seed": scenario.seed,
     }
-    if scenario.dynamics != "single":
-        out["dynamics"] = scenario.dynamics
-        out["lookahead"] = scenario.lookahead
     if scenario.spacing is not None:
         out["spacing"] = scenario.spacing
     if scenario.nominal_gain != 1.0:
         out["nominal_gain"] = scenario.nominal_gain
     if scenario.comm_margin is not None:
         out["comm_margin"] = scenario.comm_margin
-    if scenario.obstacle_cutoff is not None:
-        out["obstacle_cutoff"] = scenario.obstacle_cutoff
-    if scenario.safety_cutoff_enabled:
-        out["safety_cutoff"] = True
     return out
 
 
@@ -179,8 +181,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         return issues
     if scenario.method not in METHODS:
         issues.append(f"unknown method {scenario.method!r}; expected one of {METHODS}")
-    if scenario.dynamics not in ("single", "unicycle"):
-        issues.append(f"unknown dynamics {scenario.dynamics!r}")
     if scenario.dt <= 0:
         issues.append(f"dt must be positive, got {scenario.dt}")
     if scenario.steps < 0:
@@ -255,7 +255,6 @@ class SimState:
     next solve and never changes its converged answer."""
 
     positions: np.ndarray
-    headings: np.ndarray | None
     t: int
     tree: SpanningTree | None
     controls: np.ndarray
@@ -285,16 +284,13 @@ class RunRecord:
     positions: np.ndarray
     controls: np.ndarray
     nominals: np.ndarray
-    headings: np.ndarray | None
     summary: dict
 
 
 def initial_state(scenario: Scenario) -> SimState:
     n = scenario.n_robots
-    headings = np.zeros(n) if scenario.dynamics == "unicycle" else None
     return SimState(
         positions=scenario.positions.copy(),
-        headings=headings,
         t=0,
         tree=None,
         controls=np.zeros((n, 2)),
@@ -303,37 +299,18 @@ def initial_state(scenario: Scenario) -> SimState:
 
 
 def nominal_controls(positions, scenario: Scenario) -> np.ndarray:
-    """Task controller per robot: attraction to the subgroup site or to the
-    robot's formation slot, capped to fit the per-component speed box."""
-    x = np.asarray(positions, dtype=np.float64)
+    """Task controller per robot: attraction to its target (`Scenario.targets`),
+    capped to fit the per-component speed box."""
     cap = scenario.params.box_bound(2)
-    gain = scenario.nominal_gain
-    u = np.zeros_like(x)
-    for r in range(x.shape[0]):
-        site = scenario.sites[int(scenario.subgroups[r])]
-        target = _target_point(scenario, r, site)
-        cmd = gain * (target - x[r])
-        speed = float(np.linalg.norm(cmd))
-        if speed > cap:
-            cmd *= cap / speed
-        u[r] = cmd
+    u = scenario.nominal_gain * (scenario.targets - np.asarray(positions, dtype=np.float64))
+    speed = np.sqrt(np.vecdot(u, u))
+    u *= (cap / np.maximum(speed, cap))[:, None]  # exactly 1.0 below the cap
     return u
 
 
-def _target_point(scenario: Scenario, robot: int, site: TaskSite) -> np.ndarray:
-    if site.kind == "circle":
-        slot, count = scenario.slots[robot]
-        return circle_slot(site, slot, count)
-    return site.position
-
-
 def target_distances(positions, scenario: Scenario) -> np.ndarray:
-    x = np.asarray(positions, dtype=np.float64)
-    out = np.zeros(x.shape[0])
-    for r in range(x.shape[0]):
-        site = scenario.sites[int(scenario.subgroups[r])]
-        out[r] = float(np.linalg.norm(_target_point(scenario, r, site) - x[r]))
-    return out
+    d = scenario.targets - np.asarray(positions, dtype=np.float64)
+    return np.sqrt(np.vecdot(d, d))
 
 
 def min_pairwise_distance(positions) -> float:
@@ -442,16 +419,7 @@ def step(state: SimState, scenario: Scenario) -> tuple[SimState, StepMetrics]:
         None if scenario.method == "mccst" else tree_ellipsoids(x, tree, params.delta)
     )
 
-    safety_cutoff = (
-        params.r_comm + 2.0 * params.u_max * scenario.dt
-        if scenario.safety_cutoff_enabled
-        else None
-    )
-    system = assemble_system(
-        x, field, tree.edges, ellipsoids, scenario.cert_params,
-        safety_cutoff=safety_cutoff,
-        obstacle_cutoff=scenario.obstacle_cutoff,
-    )
+    system = assemble_system(x, field, tree.edges, ellipsoids, scenario.cert_params)
     problem = qp.QpProblem(target=u_hat.ravel(), system=system, box=params.box_bound(2))
     solution = qp.solve(
         problem, tol=scenario.qp_tol, max_iter=scenario.qp_max_iter,
@@ -463,20 +431,7 @@ def step(state: SimState, scenario: Scenario) -> tuple[SimState, StepMetrics]:
         zip(system.packed_keys()[active].tolist(), solution.duals[active].tolist())
     )
 
-    if scenario.dynamics == "unicycle":
-        headings = state.headings.copy()
-        new_x = x.copy()
-        for r in range(x.shape[0]):
-            v, omega = unicycle_map(
-                u[r], UnicycleState(x[r], float(headings[r]), scenario.lookahead)
-            )
-            new_x[r] = x[r] + v * scenario.dt * np.array(
-                [math.cos(headings[r]), math.sin(headings[r])]
-            )
-            headings[r] = headings[r] + omega * scenario.dt
-    else:
-        headings = None
-        new_x = x + u * scenario.dt
+    new_x = x + u * scenario.dt
 
     lam2 = _lambda2_from_edges(graph.n_robots, graph.edges)
     diff = u - u_hat
@@ -495,7 +450,6 @@ def step(state: SimState, scenario: Scenario) -> tuple[SimState, StepMetrics]:
     )
     next_state = SimState(
         positions=new_x,
-        headings=headings,
         t=state.t + 1,
         tree=tree,
         controls=u,
@@ -517,7 +471,6 @@ def run(scenario: Scenario) -> RunRecord:
     positions = np.zeros((steps + 1, n, 2))
     controls = np.zeros((steps, n, 2))
     nominals = np.zeros((steps, n, 2))
-    headings = np.zeros((steps + 1, n)) if scenario.dynamics == "unicycle" else None
     positions[0] = state.positions
     metrics: list[StepMetrics] = []
     t_run = time.perf_counter()
@@ -527,8 +480,6 @@ def run(scenario: Scenario) -> RunRecord:
         positions[k + 1] = state.positions
         controls[k] = state.controls
         nominals[k] = state.nominals
-        if headings is not None:
-            headings[k + 1] = state.headings
     total_wall = time.perf_counter() - t_run
 
     final_lambda2 = lambda2_los(state.positions, scenario.field, scenario.params)
@@ -573,6 +524,5 @@ def run(scenario: Scenario) -> RunRecord:
         positions=positions,
         controls=controls,
         nominals=nominals,
-        headings=headings,
         summary=summary,
     )

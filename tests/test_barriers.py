@@ -249,23 +249,6 @@ class TestAssembleSystem:
         with pytest.raises(ValueError):
             sys_.take(reach[::-1])
 
-    def test_safety_cutoff_drops_far_pairs(self, params):
-        x = np.array([[0.0, 0.0], [2.0, 0.0], [40.0, 0.0]])
-        sys_full = assemble_system(x, ObstacleField.empty(), [], None, params)
-        sys_cut = assemble_system(
-            x, ObstacleField.empty(), [], None, params, safety_cutoff=10.0
-        )
-        assert sys_full.count("safety") == 3
-        assert sys_cut.count("safety") == 1
-
-    def test_obstacle_cutoff_drops_far_points(self, params):
-        x = np.array([[0.0, 0.0], [2.0, 0.0]])
-        field = _field_with_points([[0.5, 1.0], [50.0, 50.0]])
-        ells = {(0, 1): mvee_closed_form(x[0], x[1], 0.02)}
-        sys_cut = assemble_system(x, field, [(0, 1)], ells, params, obstacle_cutoff=5.0)
-        assert sys_cut.count("obstacle") == 2  # only the near point, per robot
-        assert sys_cut.count("los") == 1
-
     def test_finite_difference_of_rows(self, params, rng):
         # Row residual at u equals d/dt h along the motion it encodes.
         x = np.array([[0.0, 0.0], [2.0, 0.0]])

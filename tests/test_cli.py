@@ -12,6 +12,7 @@ from losnet.cli import (
 )
 from losnet.errors import ScenarioValidationError
 from losnet.scenarios import available, builtin_path
+from losnet.sim import scenario_to_dict
 
 MINIMAL = {
     "robots": [
@@ -88,6 +89,31 @@ class TestLoadScenario:
         for name in names:
             sc = load_scenario(builtin_path(name))
             assert sc.n_robots >= 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("dynamics", "unicycle"),
+        ("lookahead", 0.05),
+        ("obstacle_cutoff", 1.0),
+        ("safety_cutoff", True),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, key, value):
+        payload = {**MINIMAL, key: value}
+        with pytest.raises(ScenarioValidationError) as info:
+            load_scenario(write_scenario(tmp_path, payload))
+        assert info.value.violations == [f"unknown key {key!r}"]
+
+    def test_misspelt_param_rejected(self, tmp_path):
+        payload = {**MINIMAL, "params": {**MINIMAL["params"], "R_C": 0.6}}
+        with pytest.raises(ScenarioValidationError) as info:
+            load_scenario(write_scenario(tmp_path, payload))
+        assert info.value.violations == ["unknown key 'params.R_C'"]
+
+    def test_canonical_form_loads(self, tmp_path):
+        # scenario_to_dict writes only keys the loader knows, optional ones too.
+        sc = load_scenario(builtin_path("two_rooms_40"))
+        sc.spacing, sc.nominal_gain, sc.comm_margin = 0.03, 0.8, 0.01
+        again = load_scenario(write_scenario(tmp_path, scenario_to_dict(sc)))
+        assert scenario_to_dict(again) == scenario_to_dict(sc)
 
 
 class TestRunCommand:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,15 @@ class TestSegmentOccluded:
         assert segment_occluded([ax, ay], [bx, by], field) == segment_occluded(
             [bx, by], [ax, ay], field
         )
+
+    def test_near_parallel_segment_warns_nothing(self):
+        # A rise of 5e-324 makes the crossing denominator subnormal against
+        # the square's horizontal edges, and the crossing parameters overflow.
+        field = discretize_obstacles([Polygon(OFFSET_SQUARE)], 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tilted = segments_occluded([[-1.0, 0.0]], [[2.0, 5e-324]], field)
+        assert tilted.tolist() == segments_occluded([[-1.0, 0.0]], [[2.0, 0.0]], field).tolist()
 
     def test_batch_matches_scalar(self, field, rng):
         starts = rng.uniform(-1, 3, size=(60, 2))

@@ -196,15 +196,6 @@ class TestRun:
                 float(np.mean(np.sum(diff * diff, axis=1))), abs=1e-14
             )
 
-    def test_unicycle_dynamics_run(self):
-        sc = self._small_scenario(steps=5)
-        sc.dynamics = "unicycle"
-        sc.lookahead = 0.05
-        rec = run(sc)
-        assert rec.headings is not None
-        assert rec.headings.shape == (6, 3)
-        assert rec.summary["min_d_robot"] > sc.params.r_safety - 2 * sc.params.u_max * sc.dt
-
     def test_scenario_hash_changes_with_seed(self):
         a = self._small_scenario()
         b = self._small_scenario()
@@ -294,7 +285,6 @@ class TestTreeFallback:
         )
         state = SimState(
             positions=np.array([[0.0, 0.0], [0.8, 0.0]]),
-            headings=None,
             t=5,
             tree=SpanningTree(((0, 1),), 0.0),
             controls=np.zeros((2, 2)),
