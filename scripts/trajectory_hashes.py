@@ -6,15 +6,24 @@ prints the sha256 of `trajectory.jsonl` and of `metrics.csv` with its
 `step_wall_time` column removed, the only output that depends on the clock.
 A change that leaves the math alone must leave every hash unchanged.
 
+A change that moves the math within solver tolerance reports how far instead:
+`--save DIR` also writes each scenario's positions and per-step spanning
+trees to `DIR/<name>.npz`, and `--compare DIR` prints, against such a saved
+run, the largest position difference and the number of steps whose trees
+differ.
+
 BLAS and OpenMP are pinned to one thread before numpy is imported, as the
 benchmark (`perfbench/run.py`) pins them: `two_rooms_64` hashes differently
 with two BLAS threads, so the gate would otherwise depend on the machine.
 
-Run from the repo root:  PYTHONPATH=src python3 scripts/trajectory_hashes.py [name ...]
+Run from the repo root:
+
+    PYTHONPATH=src python3 scripts/trajectory_hashes.py [--save DIR | --compare DIR] [name ...]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
@@ -24,12 +33,12 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import numpy as np  # noqa: E402
+
 from losnet import cli, scenarios, sim  # noqa: E402
 
 
-def output_hashes(name: str) -> tuple[str, str]:
-    scenario = cli.load_scenario(scenarios.builtin_path(name))
-    record = sim.run(scenario)
+def output_hashes(record: sim.RunRecord) -> tuple[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         cli.write_outputs(record, out)
@@ -45,11 +54,52 @@ def output_hashes(name: str) -> tuple[str, str]:
     )
 
 
-def main(names: list[str]) -> int:
-    for name in names or scenarios.available():
-        trajectory, metrics = output_hashes(name)
+def tree_arrays(record: sim.RunRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step tree edge counts and all tree edges stacked, (sum, 2)."""
+    trees = [m.tree_edges for m in record.metrics]
+    edges = np.array([e for tree in trees for e in tree], dtype=np.int64).reshape(-1, 2)
+    return np.array([len(tree) for tree in trees], dtype=np.int64), edges
+
+
+def deviation(record: sim.RunRecord, saved: Path) -> tuple[float, int, int]:
+    """Largest |dx| over every robot and step, and the number of steps whose
+    trees differ, against a run saved with --save."""
+    with np.load(saved) as ref:
+        positions, counts, edges = ref["positions"], ref["tree_counts"], ref["tree_edges"]
+    if positions.shape != record.positions.shape:
+        raise SystemExit(f"{saved}: positions {positions.shape}, run {record.positions.shape}")
+    new_counts, new_edges = tree_arrays(record)
+    ends, new_ends = np.cumsum(counts), np.cumsum(new_counts)
+    differ = sum(
+        not np.array_equal(a, b)
+        for a, b in zip(np.split(edges, ends[:-1]), np.split(new_edges, new_ends[:-1]))
+    )
+    return float(np.max(np.abs(record.positions - positions))), differ, counts.size
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--save", type=Path, metavar="DIR",
+                      help="write positions and trees of each scenario to DIR/<name>.npz")
+    mode.add_argument("--compare", type=Path, metavar="DIR",
+                      help="print the deviation from the runs saved in DIR")
+    parser.add_argument("names", nargs="*", help="bundled scenarios (default: all)")
+    args = parser.parse_args(argv)
+    if args.save:
+        args.save.mkdir(parents=True, exist_ok=True)
+    for name in args.names or scenarios.available():
+        record = sim.run(cli.load_scenario(scenarios.builtin_path(name)))
+        trajectory, metrics = output_hashes(record)
         print(f"{name} trajectory.jsonl {trajectory}")
         print(f"{name} metrics.csv {metrics}")
+        if args.save:
+            counts, edges = tree_arrays(record)
+            np.savez(args.save / f"{name}.npz", positions=record.positions,
+                     tree_counts=counts, tree_edges=edges)
+        if args.compare:
+            dx, differ, steps = deviation(record, args.compare / f"{name}.npz")
+            print(f"{name} max |dx| {dx:.3g} m, trees differ on {differ} of {steps} steps")
     return 0
 
 

@@ -108,6 +108,9 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario | None, list[str]]:
 
     sites: dict[int, TaskSite] = {}
     for k, s in enumerate(raw.get("sites", []) or []):
+        if not isinstance(s, dict):
+            issues.append(f"sites[{k}] must be an object")
+            continue
         try:
             kind = s.get("kind", "rendezvous")
             site = TaskSite(
@@ -119,8 +122,10 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario | None, list[str]]:
         except (KeyError, TypeError, ValueError) as e:
             issues.append(f"sites[{k}]: {e}")
 
-    pr = dict(PARAM_DEFAULTS)
-    pr.update(raw.get("params", {}) or {})
+    given = raw.get("params", {}) or {}
+    if not isinstance(given, dict):
+        return None, issues + ["params must be an object"]
+    pr = {**PARAM_DEFAULTS, **given}
     issues += [f"unknown key 'params.{k}'" for k in pr if k not in PARAM_KEYS]
     for key in PARAM_REQUIRED:
         if key not in pr:

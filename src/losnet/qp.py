@@ -10,11 +10,14 @@ a closed-form inner minimizer u(mu) = clip(u_hat - A^T mu, -box, box) and a
 Lipschitz gradient A u(mu) - b. A row with |a|_1 * box <= b holds for every
 box-feasible control, so the solver drops such rows once per solve; the
 screen is exact, and on the bundled 64-robot walled scenario it keeps about
-one assembled row in seven. It then grows a working set of violated rows and runs a
-projected semismooth Newton ascent on the dual of that subsystem, where each
-Newton trial is one SPD solve on the damped Gram of the free rows (a thin SVD
-only when free rows outnumber unclipped control components). On
-non-convergence it falls back to the always-feasible zero control.
+one assembled row in seven. It then runs a projected semismooth Newton ascent
+on the dual of a working subsystem, where each Newton trial is one SPD solve
+on the damped Gram of the free rows (a thin SVD only when free rows outnumber
+unclipped control components). The working set starts near the active set,
+from the rows a warm start names and the most violated rows of any kind, and
+each pass adds the most violated rows still outside it, so it ends at the KKT
+point of the full system. On non-convergence it falls back to the
+always-feasible zero control.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ _MAX_OUTER_PASSES = 200
 _ROWS_PER_PASS = 32
 
 
-def _most_violated(resid: np.ndarray, exclude: np.ndarray, limit: int) -> np.ndarray:
-    """Indices of the most violated rows not already in the working set.
-    Feeding the subsolver a few representatives at a time keeps it small when
-    many near-duplicate rows (adjacent boundary samples) violate together."""
-    cand = np.nonzero(resid > 0.0)[0]
-    cand = np.setdiff1d(cand, exclude, assume_unique=False)
+def _most_violated(resid: np.ndarray, in_working: np.ndarray, limit: int) -> np.ndarray:
+    """Indices of the most violated rows outside the working set (the boolean
+    mask `in_working`). Feeding the subsolver a few representatives at a time
+    keeps it small when many near-duplicate rows (adjacent boundary samples,
+    a crowd of pairs) violate together."""
+    cand = np.nonzero((resid > 0.0) & ~in_working)[0]
     if cand.size <= limit:
         return cand
     order = np.argsort(resid[cand])[::-1]
@@ -50,14 +53,10 @@ def _most_violated(resid: np.ndarray, exclude: np.ndarray, limit: int) -> np.nda
 
 
 def _initial_working_set(system, resid0, norms, warm_start):
-    """Seed rows: all violated pair rows (safety, connectivity; structurally
-    few), warm-started rows from a previous solve, and a handful of the most
-    violated point rows."""
-    violated = resid0 > 0.0
-    pair_mask = np.zeros(resid0.size, dtype=bool)
-    for kind in ("safety", "connectivity"):
-        pair_mask[system.kind_slice(kind)] = True
-    seed_mask = violated & pair_mask
+    """Seed rows: the rows a previous solve named in `warm_start`, with their
+    duals, plus the _ROWS_PER_PASS most violated rows of any kind. Returns the
+    boolean working-set mask and the seed duals over all rows."""
+    in_working = np.zeros(resid0.size, dtype=bool)
     mu0 = np.zeros(resid0.size)
     if warm_start:
         warm_keys = np.fromiter(warm_start.keys(), dtype=np.int64, count=len(warm_start))
@@ -67,13 +66,10 @@ def _initial_working_set(system, resid0, norms, warm_start):
         keys = system.packed_keys()
         pos = np.searchsorted(warm_keys, keys)
         pos = np.clip(pos, 0, warm_keys.size - 1)
-        hit = warm_keys[pos] == keys
-        seed_mask |= hit
-        mu0[hit] = warm_vals[pos[hit]] * norms[hit]
-    seed = np.nonzero(seed_mask)[0]
-    extra = _most_violated(np.where(pair_mask, 0.0, resid0), seed, _ROWS_PER_PASS)
-    working = np.unique(np.concatenate([seed, extra]))
-    return working, mu0[working]
+        in_working = warm_keys[pos] == keys
+        mu0[in_working] = warm_vals[pos[in_working]] * norms[in_working]
+    in_working[_most_violated(resid0, in_working, _ROWS_PER_PASS)] = True
+    return in_working, mu0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,7 +145,8 @@ def _dual_ascent(u_hat, box, a_w, b_w, mu0, tol, budget):
         inner = np.abs(v) < box
         a_f = a_w[np.ix_(free, inner)]
         g_f = resid[free]
-        g0 = dual_value(mu)
+        d = u - u_hat
+        g0 = 0.5 * float(d @ d) + float(mu @ resid)
         stepped = False
         newton_step = None
         if a_f.size and a_f.shape[0] <= a_f.shape[1]:
@@ -283,7 +280,9 @@ def _solve_rows(u_hat, box, system, tol, max_iter, warm_start) -> QpSolution:
         return QpSolution(u=u0, status=STATUS_OPTIMAL, max_violation=max(viol0, 0.0),
                           iterations=0, duals=np.zeros(z))
 
-    working, mu_w = _initial_working_set(system, resid0, norms, warm_start)
+    in_working, mu0 = _initial_working_set(system, resid0, norms, warm_start)
+    working = np.nonzero(in_working)[0]
+    mu_w = mu0[working]
     budget = max_iter
     used = 0
     u = u0
@@ -296,7 +295,7 @@ def _solve_rows(u_hat, box, system, tol, max_iter, warm_start) -> QpSolution:
         full_viol = float(np.max(full_resid))
         if converged:
             newly = _most_violated(
-                np.where(full_resid > tol, full_resid, 0.0), working, _ROWS_PER_PASS
+                np.where(full_resid > tol, full_resid, 0.0), in_working, _ROWS_PER_PASS
             )
             if newly.size == 0:
                 duals = np.zeros(z)
@@ -304,6 +303,7 @@ def _solve_rows(u_hat, box, system, tol, max_iter, warm_start) -> QpSolution:
                 return QpSolution(u=u, status=STATUS_OPTIMAL,
                                   max_violation=max(full_viol, 0.0),
                                   iterations=used, duals=duals)
+            in_working[newly] = True
             working = np.concatenate([working, newly])
             mu_w = np.concatenate([mu_w, np.zeros(newly.size)])
         if used >= budget:

@@ -108,6 +108,16 @@ class TestLoadScenario:
             load_scenario(write_scenario(tmp_path, payload))
         assert info.value.violations == ["unknown key 'params.R_C'"]
 
+    @pytest.mark.parametrize("key, value, issue", [
+        ("params", [1, 2], "params must be an object"),
+        ("sites", [[0, 1]], "sites[0] must be an object"),
+    ])
+    def test_non_object_entry_rejected(self, tmp_path, key, value, issue):
+        payload = {**MINIMAL, key: value}
+        with pytest.raises(ScenarioValidationError) as info:
+            load_scenario(write_scenario(tmp_path, payload))
+        assert info.value.violations == [issue]
+
     def test_canonical_form_loads(self, tmp_path):
         # scenario_to_dict writes only keys the loader knows, optional ones too.
         sc = load_scenario(builtin_path("two_rooms_40"))
@@ -176,6 +186,15 @@ class TestRunCommand:
             {"pos": [9.0, 0.0], "subgroup": 2},
         ]
         assert main(["validate", "--scenario", str(write_scenario(tmp_path, bad, "b.json"))]) == 1
+
+    @pytest.mark.parametrize("key, value, issue", [
+        ("params", [1, 2], "params must be an object"),
+        ("sites", [[0, 1]], "sites[0] must be an object"),
+    ])
+    def test_validate_reports_non_object_entry(self, tmp_path, capsys, key, value, issue):
+        path = write_scenario(tmp_path, {**MINIMAL, key: value})
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert f"INVALID: {issue}" in capsys.readouterr().err.splitlines()
 
     def test_mccst_disconnection_is_not_a_failure(self, tmp_path):
         # A wall between the two subgroups: the range-only baseline keeps a

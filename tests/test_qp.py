@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from losnet import qp
+from losnet.barriers import BarrierParams, assemble_system
 from losnet.errors import InternalInvariantError
+from losnet.geometry import ObstacleField
 from conftest import raw_system
 from oracles import qp_active_set_oracle
 
@@ -217,9 +219,6 @@ class TestNewtonFactorization:
     def test_team_of_pairwise_rows(self, rng):
         # 20 robots on a jittered grid pulled hard towards their centroid:
         # safety rows for every pair, connectivity rows along a chain.
-        from losnet.barriers import BarrierParams, assemble_system
-        from losnet.geometry import ObstacleField
-
         grid = np.stack(np.meshgrid(np.arange(5), np.arange(4), indexing="ij"), -1)
         x = 0.1 * grid.reshape(-1, 2) + rng.uniform(-0.01, 0.01, size=(20, 2))
         chain = [(k, k + 1) for k in range(19)]
@@ -273,3 +272,105 @@ class TestRowScreen:
         assert sol.iterations == 0
         np.testing.assert_array_equal(sol.duals, np.zeros(5))
         assert qp.verify_kkt(prob, sol, 1e-6)
+
+
+class TestWorkingSetSeed:
+    """A crowd of tight pairs, 3 m from one another: at the clipped nominal
+    every pair violates its safety row (pulled together) or its connectivity
+    row (pushed apart). The screen drops every row between two pairs, so the
+    optimum splits into one 4-variable QP per pair, which the active-set
+    oracle solves exactly."""
+
+    PAIRS = 110
+    PARAMS = BarrierParams(r_safety=0.04, r_obstacle=0.05, r_comm=0.5, u_max=0.3, gamma=5.0)
+
+    @classmethod
+    def crowd(cls, rng):
+        k = np.arange(cls.PAIRS)
+        centers = 3.0 * np.stack([k % 11, k // 11], axis=-1)
+        apart = k % 2 == 1
+        gap = np.where(apart, 0.48, 0.05) + rng.uniform(-0.005, 0.005, cls.PAIRS)
+        theta = rng.uniform(0.0, 2.0 * np.pi, cls.PAIRS)
+        axis = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        speed = np.where(apart, 1.0, -1.0) * rng.uniform(0.15, 0.2, cls.PAIRS)
+        x = np.stack([centers - 0.5 * gap[:, None] * axis,
+                      centers + 0.5 * gap[:, None] * axis], axis=1).reshape(-1, 2)
+        u_hat = np.stack([-speed[:, None] * axis, speed[:, None] * axis], axis=1)
+        return x, u_hat.reshape(-1, 2)
+
+    @classmethod
+    def problem(cls, x, u_hat):
+        pairs = [(2 * k, 2 * k + 1) for k in range(cls.PAIRS)]
+        system = assemble_system(x, ObstacleField.empty(), pairs, None, cls.PARAMS)
+        return qp.QpProblem(target=u_hat.ravel(), system=system, box=cls.PARAMS.box_bound(2))
+
+    @classmethod
+    def oracle_u(cls, x, u_hat, box):
+        parts = []
+        for k in range(cls.PAIRS):
+            pair = slice(2 * k, 2 * k + 2)
+            a, b = assemble_system(x[pair], ObstacleField.empty(), [(0, 1)], None,
+                                   cls.PARAMS).dense()
+            parts.append(qp_active_set_oracle(u_hat[pair].ravel(), a, b, box)[0])
+        return np.concatenate(parts)
+
+    @staticmethod
+    def solve_with_spy(problem, monkeypatch, **kwargs):
+        """Solve, returning the solution and the (a_w, b_w) of the first
+        working subsystem handed to the dual ascent."""
+        calls = []
+        ascent = qp._dual_ascent
+
+        def spy(u_hat, box, a_w, b_w, *rest):
+            calls.append((a_w, b_w))
+            return ascent(u_hat, box, a_w, b_w, *rest)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(qp, "_dual_ascent", spy)
+            sol = qp.solve(problem, **kwargs)
+        return sol, calls[0]
+
+    def check_optimal(self, x, u_hat, problem, sol):
+        assert sol.status == qp.STATUS_OPTIMAL
+        assert qp.verify_kkt(problem, sol, 1e-6)
+        u_star = self.oracle_u(x, u_hat, problem.box)
+        # Each pair's optimum ignores the rows between pairs; together they
+        # satisfy those rows too, so they are the optimum of the whole crowd.
+        assert np.max(problem.system.residuals(u_star)) <= 1e-9
+        np.testing.assert_allclose(sol.u, u_star, atol=1e-6)
+
+    def test_cold_seed_is_the_most_violated_rows(self, rng, monkeypatch):
+        x, u_hat = self.crowd(rng)
+        problem = self.problem(x, u_hat)
+        system = problem.system
+        resid = system.residuals(np.clip(problem.target, -problem.box, problem.box))
+        pair_rows = np.r_[system.kind_slice("safety"), system.kind_slice("connectivity")]
+        assert np.count_nonzero(resid[pair_rows] > 0.0) > 100
+
+        sol, (a_w, _) = self.solve_with_spy(problem, monkeypatch)
+        assert a_w.shape[0] <= qp._ROWS_PER_PASS
+        self.check_optimal(x, u_hat, problem, sol)
+
+    def test_warm_seed_holds_every_warm_hit(self, rng, monkeypatch):
+        x, u_hat = self.crowd(rng)
+        first = self.problem(x, u_hat)
+        cold = qp.solve(first)
+        active = np.nonzero(cold.duals)[0]
+        warm = dict(zip(first.system.packed_keys()[active].tolist(),
+                        cold.duals[active].tolist()))
+
+        x = x + 0.02 * cold.u.reshape(x.shape)  # one step on, as sim.step does
+        problem = self.problem(x, u_hat)
+        system = problem.system
+        sol, (a_w, b_w) = self.solve_with_spy(problem, monkeypatch, warm_start=warm)
+
+        hit = np.intersect1d(np.nonzero(np.isin(system.packed_keys(), list(warm)))[0],
+                             system.reachable_rows(problem.box))
+        assert hit.size >= self.PAIRS
+        norms = system.row_norms()[hit]
+        rows = np.hstack([system.dense_rows(hit), system.bounds[hit, None]]) / norms[:, None]
+        seeded = np.hstack([a_w, b_w[:, None]])
+        gap = np.max(np.abs(rows[:, None, :] - seeded[None, :, :]), axis=2)
+        assert np.all(np.min(gap, axis=1) <= 1e-12)
+        assert a_w.shape[0] <= hit.size + qp._ROWS_PER_PASS
+        self.check_optimal(x, u_hat, problem, sol)
