@@ -12,13 +12,19 @@ trees to `DIR/<name>.npz`, and `--compare DIR` prints, against such a saved
 run, the largest position difference and the number of steps whose trees
 differ.
 
+`--expect FILE` makes the gate one command with an exit code: FILE holds
+lines as this script prints them (`# ...` lines are comments), and the
+script exits 1 when a hash of a scenario it ran differs from, or is missing
+in, FILE. `scripts/expected_hashes.txt` holds the current hashes.
+
 BLAS and OpenMP are pinned to one thread before numpy is imported, as the
 benchmark (`perfbench/run.py`) pins them: `two_rooms_64` hashes differently
 with two BLAS threads, so the gate would otherwise depend on the machine.
 
 Run from the repo root:
 
-    PYTHONPATH=src python3 scripts/trajectory_hashes.py [--save DIR | --compare DIR] [name ...]
+    PYTHONPATH=src python3 scripts/trajectory_hashes.py [--save DIR | --compare DIR]
+        [--expect FILE] [name ...]
 """
 
 from __future__ import annotations
@@ -77,6 +83,16 @@ def deviation(record: sim.RunRecord, saved: Path) -> tuple[float, int, int]:
     return float(np.max(np.abs(record.positions - positions))), differ, counts.size
 
 
+def read_expected(path: Path) -> dict[tuple[str, str], str]:
+    """(scenario, output file) -> hash, from lines as `main` prints them."""
+    expected = {}
+    for line in path.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, output, digest = line.split()
+            expected[name, output] = digest
+    return expected
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group()
@@ -84,15 +100,20 @@ def main(argv: list[str]) -> int:
                       help="write positions and trees of each scenario to DIR/<name>.npz")
     mode.add_argument("--compare", type=Path, metavar="DIR",
                       help="print the deviation from the runs saved in DIR")
+    parser.add_argument("--expect", type=Path, metavar="FILE",
+                        help="exit 1 unless every hash equals the one listed in FILE")
     parser.add_argument("names", nargs="*", help="bundled scenarios (default: all)")
     args = parser.parse_args(argv)
+    expected = read_expected(args.expect) if args.expect else None
+    mismatched = []
     if args.save:
         args.save.mkdir(parents=True, exist_ok=True)
     for name in args.names or scenarios.available():
         record = sim.run(cli.load_scenario(scenarios.builtin_path(name)))
-        trajectory, metrics = output_hashes(record)
-        print(f"{name} trajectory.jsonl {trajectory}")
-        print(f"{name} metrics.csv {metrics}")
+        for output, digest in zip(("trajectory.jsonl", "metrics.csv"), output_hashes(record)):
+            print(f"{name} {output} {digest}")
+            if expected is not None and expected.get((name, output)) != digest:
+                mismatched.append(f"{name} {output}")
         if args.save:
             counts, edges = tree_arrays(record)
             np.savez(args.save / f"{name}.npz", positions=record.positions,
@@ -100,6 +121,9 @@ def main(argv: list[str]) -> int:
         if args.compare:
             dx, differ, steps = deviation(record, args.compare / f"{name}.npz")
             print(f"{name} max |dx| {dx:.3g} m, trees differ on {differ} of {steps} steps")
+    if mismatched:
+        print(f"hashes differ from {args.expect}: {', '.join(mismatched)}")
+        return 1
     return 0
 
 

@@ -5,12 +5,19 @@ sight-line edges.
 Points are plain float64 arrays of shape (d,). All experiments use d = 2;
 the ellipsoid constructions work for any d >= 2, the exact occlusion test
 is implemented for planar polygons only.
+
+Everything static about an obstacle field is computed once, on first use,
+and kept read-only on the frozen `Polygon` and `ObstacleField` objects: each
+polygon's edge vectors and bounding box, the boundary points in groups of
+consecutive samples with one bounding box per group, and the point moments
+the edge scores average over.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +35,11 @@ def _as_point(p) -> np.ndarray:
     a = np.asarray(p, dtype=np.float64).ravel()
     if not np.all(np.isfinite(a)):
         raise ValueError(f"point has non-finite components: {a}")
+    return a
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
     return a
 
 
@@ -79,6 +91,16 @@ class Polygon:
         v = self.vertices
         return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
 
+    @cached_property
+    def edge_vectors(self) -> np.ndarray:
+        """(V, 2) vector from each vertex to the next, read-only."""
+        return _read_only(np.roll(self.vertices, -1, axis=0) - self.vertices)
+
+    @cached_property
+    def box(self) -> np.ndarray:
+        """(2, 2) bounding box, read-only: the lower corner, then the upper."""
+        return _read_only(np.stack([self.vertices.min(axis=0), self.vertices.max(axis=0)]))
+
 
 def _is_self_intersecting(v: np.ndarray) -> bool:
     """Check a closed polyline for proper crossings between non-adjacent edges."""
@@ -127,6 +149,35 @@ class ObstacleField:
     def n_points(self) -> int:
         return int(self.points.shape[0])
 
+    @cached_property
+    def polygon_boxes(self) -> np.ndarray:
+        """(P, 2, 2) bounding box of every polygon (see `Polygon.box`)."""
+        return _read_only(np.array([p.box for p in self.polygons]).reshape(-1, 2, 2))
+
+    @cached_property
+    def point_groups(self) -> np.ndarray:
+        """(G, g, 2) runs of g = ceil(sqrt(F)) consecutive points, the last run
+        padded with copies of the last point. Consecutive boundary samples lie
+        close together, so each run has a small box; g ~ sqrt(F) balances the
+        per-group box tests against the per-point tests inside met groups."""
+        f = self.n_points
+        g = math.isqrt(f - 1) + 1 if f else 1
+        runs = np.minimum(np.arange(-(-f // g) * g), f - 1).reshape(-1, g)
+        return _read_only(self.points[runs])
+
+    @cached_property
+    def group_boxes(self) -> np.ndarray:
+        """(G, 2, 2) bounding box of each run of `point_groups`, taken from its
+        own points."""
+        groups = self.point_groups
+        return _read_only(np.stack([groups.min(axis=1), groups.max(axis=1)], axis=1))
+
+    @cached_property
+    def point_moments(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Sum of the points, sum of their outer products, and sum of |p|^2."""
+        m2 = _read_only(self.points.T @ self.points)
+        return _read_only(self.points.sum(axis=0)), m2, float(np.trace(m2))
+
     @staticmethod
     def empty() -> "ObstacleField":
         return ObstacleField(polygons=(), points=np.zeros((0, 2)), spacing=1.0)
@@ -165,6 +216,17 @@ def discretize_obstacles(polygons, spacing: float) -> ObstacleField:
 # ---------------------------------------------------------------------------
 
 
+def boxes_meet(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """(M, B) mask: whether the closed box from lo[m] to hi[m] ((M, 2)
+    corners) meets the closed box b of `boxes` ((B, 2, 2), lower corner
+    first)."""
+    b = boxes.T  # (2, 2, B): coordinate, lower/upper, box
+    return (
+        (lo[:, :1] <= b[0, 1]) & (lo[:, 1:] <= b[1, 1])
+        & (hi[:, :1] >= b[0, 0]) & (hi[:, 1:] >= b[1, 0])
+    )
+
+
 def points_strictly_inside(points: np.ndarray, poly: Polygon, tol: float = 1e-9) -> np.ndarray:
     """Boolean mask: which points lie strictly inside the polygon.
 
@@ -172,43 +234,39 @@ def points_strictly_inside(points: np.ndarray, poly: Polygon, tol: float = 1e-9)
     sight line sliding along a wall face is not treated as blocked.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    v = poly.vertices
-    a = v
-    b = np.roll(v, -1, axis=0)
-    # Crossing-number test against each edge.
+    a = poly.vertices
+    ab = poly.edge_vectors[None, :, :]
+    # Crossing-number test against each edge; edge k runs from vertex k to
+    # vertex k + 1, so its far end is above p iff vertex k + 1 is.
     px = p[:, 0][:, None]
     py = p[:, 1][:, None]
-    ay, by = a[:, 1][None, :], b[:, 1][None, :]
-    ax, bx = a[:, 0][None, :], b[:, 0][None, :]
-    straddles = (ay > py) != (by > py)
+    ay, ax = a[:, 1][None, :], a[:, 0][None, :]
+    above = ay > py
+    straddles = above != np.concatenate([above[:, 1:], above[:, :1]], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_int = ax + (py - ay) * (bx - ax) / (by - ay)
-    crossings = np.sum(straddles & (px < x_int), axis=1)
+        x_int = ax + (py - ay) * ab[..., 0] / ab[..., 1]
+    crossings = (straddles & (px < x_int)).sum(axis=1)
     inside = (crossings % 2) == 1
     # Distance to each edge; boundary contact overrides "inside".
-    ab = (b - a)[None, :, :]
     ap = p[:, None, :] - a[None, :, :]
     denom = np.einsum("ijk,ijk->ij", ab, ab)
     t = np.clip(np.einsum("ijk,ijk->ij", ap, ab) / denom, 0.0, 1.0)
     foot = a[None, :, :] + t[:, :, None] * ab
     dist = np.linalg.norm(p[:, None, :] - foot, axis=2)
-    on_boundary = np.min(dist, axis=1) <= tol
+    on_boundary = dist.min(axis=1) <= tol
     return inside & ~on_boundary
 
 
-def _segment_candidates_per_polygon(starts, ends, poly: Polygon):
-    """Parameter values along each segment where it may cross the polygon
-    boundary: transversal edge crossings plus polygon vertices lying on the
-    segment. Returned as an (n_segments, n_candidates) array padded with NaN.
-    """
-    p = starts
-    r = ends - starts  # (M, 2)
+def _interior_hits(p: np.ndarray, r: np.ndarray, poly: Polygon) -> np.ndarray:
+    """Exact test of segments p + t r, t in [0, 1], against one polygon: cut
+    each segment at its transversal edge crossings and at the polygon
+    vertices lying on it, and report whether the midpoint of some piece of
+    positive length lies strictly inside."""
     v = poly.vertices
-    c = v
-    s = (np.roll(v, -1, axis=0) - v)[None, :, :]  # (1, E, 2)
-    qmp = c[None, :, :] - p[:, None, :]  # (M, E, 2)
+    s = poly.edge_vectors[None, :, :]  # (1, V, 2)
+    qmp = v[None, :, :] - p[:, None, :]  # (M, V, 2)
     rr = r[:, None, :]
-    den = _cross2(rr, s)  # (M, E)
+    den = _cross2(rr, s)  # (M, V)
     # A near-parallel edge can leave den subnormal, so t and u overflow; `ok`
     # drops every such candidate through |den| > _EPS.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -218,13 +276,21 @@ def _segment_candidates_per_polygon(starts, ends, poly: Polygon):
     t_cross = np.where(ok, np.clip(t, 0.0, 1.0), np.nan)
     # Vertices sitting on the segment subdivide collinear or corner contact.
     rlen2 = np.einsum("ij,ij->i", r, r)[:, None]  # (M, 1)
-    wp = v[None, :, :] - p[:, None, :]  # (M, V, 2)
-    tv = np.einsum("mvk,mk->mv", wp, r) / rlen2
-    foot = p[:, None, :] + tv[..., None] * r[:, None, :]
+    tv = np.einsum("mvk,mk->mv", qmp, r) / rlen2
+    foot = p[:, None, :] + tv[..., None] * rr
     dv = np.linalg.norm(v[None, :, :] - foot, axis=2)
     on_seg = (dv <= 1e-9) & (tv >= -1e-12) & (tv <= 1 + 1e-12)
     t_vert = np.where(on_seg, np.clip(tv, 0.0, 1.0), np.nan)
-    return np.concatenate([t_cross, t_vert], axis=1)
+    m = p.shape[0]
+    cand = np.concatenate([t_cross, t_vert, np.zeros((m, 1)), np.ones((m, 1))], axis=1)
+    cand.sort(axis=1)  # NaNs sort to the end
+    mids = 0.5 * (cand[:, :-1] + cand[:, 1:])
+    valid = np.isfinite(mids) & (cand[:, 1:] - cand[:, :-1] > 1e-12)
+    seg_idx, k_idx = np.nonzero(valid)
+    pts = p[seg_idx] + mids[seg_idx, k_idx][:, None] * r[seg_idx]
+    hit = np.zeros(m, dtype=bool)
+    hit[seg_idx[points_strictly_inside(pts, poly)]] = True
+    return hit
 
 
 def segments_occluded(starts, ends, field: ObstacleField) -> np.ndarray:
@@ -233,6 +299,16 @@ def segments_occluded(starts, ends, field: ObstacleField) -> np.ndarray:
     A segment is occluded iff some open subinterval of it lies strictly inside
     a polygon; measure-zero boundary contact (grazing a vertex or sliding
     along a face) does not count.
+
+    The exact test runs, per polygon, only on the segments whose closed
+    bounding box meets the polygon's and whose supporting line has polygon
+    vertices strictly on both sides. A segment failing either test is
+    disjoint from the polygon's interior, so this skips no occluded segment;
+    it makes the cost follow the segment-polygon pairs that can cross, not
+    all of them. (A vertex within rounding of the line cannot flip the
+    answer: a piece the exact test finds inside lies more than its 1e-9
+    boundary tolerance from the boundary, so vertices lie that far on both
+    sides.)
     """
     starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
     ends = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
@@ -240,30 +316,21 @@ def segments_occluded(starts, ends, field: ObstacleField) -> np.ndarray:
     occluded = np.zeros(m, dtype=bool)
     if m == 0:
         return occluded
-    if np.any(np.linalg.norm(ends - starts, axis=1) <= _EPS):
+    r = ends - starts
+    if (np.linalg.norm(r, axis=1) <= _EPS).any():
         raise ValueError("occlusion test requires distinct segment endpoints")
-    for poly in field.polygons:
-        todo = ~occluded
-        if not np.any(todo):
-            break
-        idx = np.nonzero(todo)[0]
-        cand = _segment_candidates_per_polygon(starts[idx], ends[idx], poly)
-        ends_cols = np.broadcast_to(
-            np.array([0.0, 1.0]), (cand.shape[0], 2)
-        )
-        cand = np.concatenate([cand, ends_cols], axis=1)
-        cand = np.sort(cand, axis=1)  # NaNs sort to the end
-        mids = 0.5 * (cand[:, :-1] + cand[:, 1:])
-        valid = np.isfinite(mids) & (cand[:, 1:] - cand[:, :-1] > 1e-12)
-        if not np.any(valid):
-            continue
-        seg_idx, k_idx = np.nonzero(valid)
-        t = mids[seg_idx, k_idx]
-        pts = starts[idx][seg_idx] + t[:, None] * (ends[idx][seg_idx] - starts[idx][seg_idx])
-        inside = points_strictly_inside(pts, poly)
-        hit = np.zeros(len(idx), dtype=bool)
-        np.logical_or.at(hit, seg_idx, inside)
-        occluded[idx[hit]] = True
+    if not field.polygons:
+        return occluded
+    meets = boxes_meet(np.minimum(starts, ends), np.maximum(starts, ends), field.polygon_boxes)
+    for k in np.flatnonzero(meets.any(axis=0)):
+        poly = field.polygons[k]
+        idx = np.flatnonzero(meets[:, k] & ~occluded)
+        # The polygon lies in the hull of its vertices, so a segment whose
+        # line has no vertex strictly on each side misses its interior.
+        side = _cross2(r[idx, None, :], poly.vertices[None, :, :] - starts[idx, None, :])
+        idx = idx[(side < 0.0).any(axis=1) & (side > 0.0).any(axis=1)]
+        if idx.size:
+            occluded[idx[_interior_hits(starts[idx], r[idx], poly)]] = True
     return occluded
 
 

@@ -396,8 +396,14 @@ def _select_tree(
         if state.tree is None:
             raise
         tree, fallback = state.tree, True
-    flagged = set(map(tuple, weighted.edges[weighted.occluded].tolist()))
-    return tree, fallback, sum(e in flagged for e in tree.edges)
+    if not weighted.occluded.any():
+        return tree, fallback, 0
+    # Graph edges come in (i, j) order, so their keys i * n + j ascend.
+    pair_key = np.array([graph.n_robots, 1])
+    keys = weighted.edges @ pair_key
+    kept = np.array(tree.edges, dtype=np.int64).reshape(-1, 2) @ pair_key
+    at = np.minimum(np.searchsorted(keys, kept), keys.size - 1)
+    return tree, fallback, int(np.count_nonzero(weighted.occluded[at] & (keys[at] == kept)))
 
 
 def step(state: SimState, scenario: Scenario) -> tuple[SimState, StepMetrics]:

@@ -16,9 +16,17 @@ occlusion constraint, and w_dlos as their sum. Edges whose ellipsoid test
 already fails are flagged `occluded` and get a large negative sentinel
 instead, and same-subgroup edges are amplified so the tree connects every
 subgroup internally before bridging between subgroups. The maintained
-topology is then the maximum-weight spanning tree, computed by Kruskal over
-union-find with a lexicographic (-w, i, j) tie-break so runs are
-bit-reproducible.
+topology is then the maximum-weight spanning tree under the strict
+lexicographic (-w, i, j) order, so it is unique and runs are
+bit-reproducible; it is computed by Borůvka's algorithm on arrays.
+
+The stage does work only where geometry can matter, by exact prefilters:
+`segments_occluded` runs its exact test only on segment-polygon pairs whose
+boxes meet and whose supporting line separates two polygon vertices, and
+the `occluded` flag looks only at boundary points in groups whose box meets
+the edge's box padded by delta, which contains the edge ellipsoid. The
+per-field boxes, point groups and point moments are computed once per
+`ObstacleField`.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .errors import ConnectivityLossError, DegenerateEdgeError, WeightOrderingEr
 from .geometry import (
     LosEllipsoid,
     ObstacleField,
+    boxes_meet,
     mvee_closed_form_batch,
     segments_occluded,
 )
@@ -158,30 +167,27 @@ def weigh_edges(
     if subgroups is None:
         subgroups = graph.subgroups
     subgroups = np.asarray(subgroups, dtype=np.int64)
-    pts = field.points
     gamma = params.gamma
     ii, jj = graph.edges[:, 0], graph.edges[:, 1]
+    xi, xj = x[ii], x[jj]
     n_edges = ii.size
 
-    diff = x[ii] - x[jj]
+    diff = xi - xj
     w_d_vals = (
         -2.0 * np.einsum("ed,ed->e", diff, u_hat[ii] - u_hat[jj])
         + gamma * (params.r_comm**2 - np.einsum("ed,ed->e", diff, diff))
     )
 
     occluded_flags = np.zeros(n_edges, dtype=bool)
-    if n_edges and pts.shape[0]:
+    f_count = field.n_points
+    if n_edges and f_count:
         # The per-point average reduces to the static point moments (sum of
         # points and of their outer products), because h and its derivative
         # are quadratic/linear in the point coordinates; only the occlusion
-        # flag needs individual points, and a point can only sit inside an
-        # edge ellipsoid if it lies inside the edge's bounding circle.
-        f_count = pts.shape[0]
-        p1 = pts.sum(axis=0)
-        m2 = pts.T @ pts
-        s2_total = float(np.trace(m2))
-        centers = 0.5 * (x[ii] + x[jj])
-        axis = x[jj] - x[ii]
+        # flag needs individual points.
+        p1, m2, s2_total = field.point_moments
+        centers = 0.5 * (xi + xj)
+        axis = xj - xi
         length = np.linalg.norm(axis, axis=1)
         axis = axis / length[:, None]
         a2 = (0.5 * length) ** 2
@@ -200,19 +206,19 @@ def weigh_edges(
             + coef * sum_s * np.einsum("ed,ed->e", axis, usum)
         )
         w_los_vals = (sum_hdot + gamma * sum_h) / f_count
-        # Occlusion flags from the sparse candidate pairs only.
-        r2 = (
-            np.einsum("fd,fd->f", pts, pts)[:, None]
-            - 2.0 * (pts @ centers.T)
-            + np.einsum("ed,ed->e", centers, centers)[None, :]
-        )
-        fidx, eidx = np.nonzero(r2 < a2[None, :])
-        if fidx.size:
-            rel = pts[fidx] - centers[eidx]
-            s_c = np.einsum("kd,kd->k", rel, axis[eidx])
-            r2_c = r2[fidx, eidx]
-            h_c = s_c**2 / a2[eidx] + (r2_c - s_c**2) / d2 - 1.0
-            np.logical_or.at(occluded_flags, eidx, h_c < 0.0)
+        # The ellipsoid lies inside the edge's box padded by delta, so only
+        # point groups whose box meets that padded box can hold a point
+        # inside it.
+        eidx, gidx = np.nonzero(boxes_meet(
+            np.minimum(xi, xj) - params.delta, np.maximum(xi, xj) + params.delta,
+            field.group_boxes,
+        ))
+        if eidx.size:
+            rel = field.point_groups[gidx] - centers[eidx][:, None, :]  # (K, g, 2)
+            s_c = np.einsum("kgd,kd->kg", rel, axis[eidx])
+            r2_c = np.einsum("kgd,kgd->kg", rel, rel)
+            h_c = s_c**2 / a2[eidx, None] + (r2_c - s_c**2) / d2 - 1.0
+            occluded_flags[eidx[(h_c < 0.0).any(axis=1)]] = True
     else:
         w_los_vals = np.zeros(n_edges)
 
@@ -295,31 +301,69 @@ def _assert_weight_ordering(sort_w, occluded, same) -> None:
         floor = float(np.min(band))
 
 
-def _kruskal(n_robots: int, edges: np.ndarray, weights: np.ndarray) -> SpanningTree:
-    """Maximum-weight spanning tree of the (E, 2) edge array; edges processed
-    by (-weight, i, j)."""
-    order = np.lexsort((edges[:, 1], edges[:, 0], -weights))
-    uf = UnionFind(n_robots)
-    chosen: list[tuple[int, int]] = []
-    total = 0.0
-    for (i, j), w in zip(edges[order].tolist(), weights[order].tolist()):
-        if uf.union(i, j):
-            chosen.append((i, j))
-            total += w
-            if len(chosen) == n_robots - 1:
+def _max_spanning_tree(n_robots: int, edges: np.ndarray, weights: np.ndarray) -> SpanningTree:
+    """Maximum-weight spanning tree of the (E, 2) edge array under the strict
+    order (-weight, i, j), by Borůvka's algorithm on arrays.
+
+    Each round every component takes its best leaving edge (`np.minimum.at`
+    on the edge ranks) and the picks are merged by pointer jumping; the
+    component count at least halves per round. Under a strict order the
+    maximum spanning tree is unique, so this is the tree Kruskal builds from
+    the same order, and `total_weight` adds the tree's weights in that order,
+    so it matches Kruskal's sum bit for bit.
+    """
+    n_edges = edges.shape[0]
+    # i * n + j orders the pairs as (i, j) does, and as one key it sorts fast.
+    order = np.lexsort((edges[:, 0] * n_robots + edges[:, 1], -weights))
+    ei, ej = edges[order, 0], edges[order, 1]  # in rank order: position = rank
+    comp = np.arange(n_robots)
+    live = np.arange(n_edges)
+    picked: list[np.ndarray] = []
+    n_components = n_robots
+    while n_components > 1:
+        ci, cj = comp[ei[live]], comp[ej[live]]
+        cross = ci != cj
+        live, ci, cj = live[cross], ci[cross], cj[cross]
+        if live.size == 0:
+            break
+        best = np.full(n_robots, n_edges)
+        np.minimum.at(best, ci, live)
+        np.minimum.at(best, cj, live)
+        roots = np.nonzero(best < n_edges)[0]
+        pick = best[roots]
+        # Each root hooks onto the component across its pick, except that of
+        # two components picking the same edge only the larger hooks; every
+        # hook merges two components along one tree edge.
+        other = comp[ei[pick]] + comp[ej[pick]] - roots
+        hooks = (best[other] != pick) | (roots > other)
+        parent = np.arange(n_robots)
+        parent[roots[hooks]] = other[hooks]
+        picked.append(pick[hooks])
+        n_components -= picked[-1].size
+        if n_components == 1:
+            break
+        while True:
+            hop = parent[parent]
+            if (hop == parent).all():
                 break
-    if len(chosen) != n_robots - 1:
-        raise ConnectivityLossError(components=_components(n_robots, edges.tolist()))
-    return SpanningTree(edges=tuple(sorted(chosen)), total_weight=total)
+            parent = hop
+        comp = parent[comp]
+    if n_components > 1:
+        raise ConnectivityLossError(components=_components(comp))
+    chosen = order[np.sort(np.concatenate(picked))] if picked else order[:0]
+    total = 0.0
+    for w in weights[chosen].tolist():  # Kruskal's order of addition
+        total += w
+    tree = edges[chosen]
+    return SpanningTree(edges=tree[np.lexsort((tree[:, 1], tree[:, 0]))].tolist(), total_weight=total)
 
 
-def _components(n: int, edges) -> list[list[int]]:
-    uf = UnionFind(n)
-    for i, j in edges:
-        uf.union(i, j)
+def _components(labels: np.ndarray) -> list[list[int]]:
+    """Robots grouped by component label, each group ascending, groups
+    ordered by their smallest robot."""
     groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(uf.find(v), []).append(v)
+    for v, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(v)
     return sorted(groups.values())
 
 
@@ -333,7 +377,7 @@ def mlccst(graph: WeightedLosGraph) -> SpanningTree:
     """
     if graph.w_prime is None:
         raise ValueError("graph edges are unweighted; call weigh_edges first")
-    return _kruskal(graph.n_robots, graph.edges, graph.w_prime)
+    return _max_spanning_tree(graph.n_robots, graph.edges, graph.w_prime)
 
 
 def tree_ellipsoids(
@@ -391,4 +435,4 @@ def mccst_baseline(
     _, _, sort_w = _calibrate_weights(
         w_d, np.zeros(len(pairs), dtype=bool), same, lam, None
     )
-    return _kruskal(n, pairs, sort_w)
+    return _max_spanning_tree(n, pairs, sort_w)

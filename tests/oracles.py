@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 These deliberately avoid the library's solver paths: spanning trees come from
-exhaustive subset enumeration, and QP optima from enumerating candidate
-active sets of the KKT conditions.
+exhaustive subset enumeration or a plain greedy union-find, QP optima from
+enumerating candidate active sets of the KKT conditions, and segment
+occlusion from dense sampling with a point-in-polygon test of its own.
 """
 
 from __future__ import annotations
@@ -25,6 +26,69 @@ def spanning_tree_indices(n: int, edges: list[tuple[int, int]]):
 def greedy_key(pair: tuple[int, int], w_prime: float):
     """Total order the greedy tree builder processes edges in."""
     return (-w_prime, pair[0], pair[1])
+
+
+def greedy_tree(n: int, edges: list[tuple[int, int]], w_prime):
+    """Kruskal's maximum spanning tree: edges taken in `greedy_key` order,
+    each kept when it joins two components, the kept weights summed in that
+    order. Returns (sorted tree edges, total weight, components), where
+    components lists the vertex sets of the whole graph, each ascending,
+    ordered by smallest vertex; the tree spans iff there is one component."""
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    kept, total = [], 0.0
+    for k in sorted(range(len(edges)), key=lambda k: greedy_key(edges[k], float(w_prime[k]))):
+        ra, rb = find(edges[k][0]), find(edges[k][1])
+        if ra != rb:
+            root[ra] = rb
+            kept.append(tuple(edges[k]))
+            total += float(w_prime[k])
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(sorted(kept)), total, sorted(groups.values())
+
+
+def segment_hits_interior(a, b, polygons, samples: int = 2**17, tol: float = 1e-9) -> bool:
+    """Whether one of `samples` evenly spaced points of the open segment from
+    a to b, at t = (k + 1/2) / samples, lies strictly inside one of the
+    polygons ((V, 2) vertex arrays, either orientation): inside, and more
+    than `tol` from every edge, the boundary contact the library ignores.
+    Any interior stretch longer than 1/samples of the segment holds a
+    sample."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    t = (np.arange(samples) + 0.5) / samples
+    pts = a + t[:, None] * (b - a)
+    for v in polygons:
+        v = np.asarray(v, dtype=np.float64)
+        near = pts[np.all((pts >= v.min(axis=0)) & (pts <= v.max(axis=0)), axis=1)]
+        if near.size and _strictly_inside(near, v, tol).any():
+            return True
+    return False
+
+
+def _strictly_inside(pts, v, tol) -> np.ndarray:
+    """Winding-number test by orientation signs, then the distance from each
+    point to each edge segment: strictly inside iff the point winds around
+    the polygon and is more than `tol` from every edge."""
+    x, y = pts[:, :1], pts[:, 1:]
+    ax, ay = v[:, 0], v[:, 1]
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    ex, ey = bx - ax, by - ay
+    side = ex * (y - ay) - ey * (x - ax)  # > 0: left of the edge
+    up = (ay <= y) & (by > y) & (side > 0)
+    down = (ay > y) & (by <= y) & (side < 0)
+    winding = up.sum(axis=1) - down.sum(axis=1)
+    along = np.clip(((x - ax) * ex + (y - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    gap = np.hypot(x - ax - along * ex, y - ay - along * ey)
+    return (winding != 0) & (gap.min(axis=1) > tol)
 
 
 def best_constrained_tree(

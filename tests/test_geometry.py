@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from losnet.errors import DegenerateEdgeError, PolygonError, RankDeficiencyError
@@ -17,6 +17,8 @@ from losnet.geometry import (
     segment_occluded,
     segments_occluded,
 )
+
+from oracles import segment_hits_interior
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 OFFSET_SQUARE = np.array([[0.5, -0.5], [1.5, -0.5], [1.5, 0.5], [0.5, 0.5]])
@@ -165,6 +167,91 @@ class TestSegmentOccluded:
         batch = segments_occluded(starts, ends, field)
         single = [segment_occluded(s, e, field) for s, e in zip(starts, ends)]
         assert batch.tolist() == single
+
+
+# Lattice cases for the occlusion oracle. Polygon vertices are even integers
+# in [0, 6] and segment ends integers in [-3, 9], all scaled by 1/4 (exact in
+# binary). Every cut of a segment by a polygon boundary then sits at a t whose
+# denominator is at most 288, so a piece of positive length is longer than
+# 1/288^2 > 2^-17 of the segment and holds oracle samples far more than the
+# 1e-9 boundary tolerance from the boundary. Segments moved off the lattice
+# by 1e-12 can touch a boundary only that deep, which both sides count as
+# boundary contact.
+_EVEN = st.integers(0, 3).map(lambda k: 2 * k)
+_FREE = st.integers(-3, 9)
+_SCALE = 0.25
+
+
+@st.composite
+def _lattice_polygon(draw):
+    kind = draw(st.sampled_from(["rect", "tri", "ell"]))
+    if kind == "tri":
+        v = np.array(draw(st.lists(st.tuples(_EVEN, _EVEN), min_size=3, max_size=3, unique=True)))
+        d1, d2 = v[1] - v[0], v[2] - v[0]
+        assume(d1[0] * d2[1] - d1[1] * d2[0] != 0)
+        return v
+    n = 2 if kind == "rect" else 3
+    xs = sorted(draw(st.lists(_EVEN, min_size=n, max_size=n, unique=True)))
+    ys = sorted(draw(st.lists(_EVEN, min_size=n, max_size=n, unique=True)))
+    if kind == "rect":
+        return np.array([[xs[0], ys[0]], [xs[1], ys[0]], [xs[1], ys[1]], [xs[0], ys[1]]])
+    # An L: a rectangle with its top-right corner cut out (one reflex vertex).
+    return np.array([[xs[0], ys[0]], [xs[2], ys[0]], [xs[2], ys[1]],
+                     [xs[1], ys[1]], [xs[1], ys[2]], [xs[0], ys[2]]])
+
+
+@st.composite
+def _occlusion_case(draw):
+    """Two or three lattice polygons and segments that run freely, touch a
+    polygon's box exactly from outside, end on a vertex, slide along a face,
+    or miss a box by 1e-12."""
+    polys = draw(st.lists(_lattice_polygon(), min_size=2, max_size=3))
+    segments = []
+    for _ in range(draw(st.integers(3, 8))):
+        v = polys[draw(st.integers(0, len(polys) - 1))]
+        kind = draw(st.sampled_from(["free", "touch", "vertex", "face", "miss"]))
+        if kind == "free":
+            a, b = draw(st.tuples(_FREE, _FREE)), draw(st.tuples(_FREE, _FREE))
+        elif kind == "vertex":
+            a, b = v[draw(st.integers(0, len(v) - 1))], draw(st.tuples(_FREE, _FREE))
+        elif kind == "face":
+            k = draw(st.integers(0, len(v) - 1))
+            half = (v[(k + 1) % len(v)] - v[k]) // 2
+            s1, s2 = draw(st.lists(st.integers(-1, 3), min_size=2, max_size=2, unique=True))
+            a, b = v[k] + s1 * half, v[k] + s2 * half
+        else:
+            axis, upper = draw(st.integers(0, 1)), draw(st.booleans())
+            edge = v[:, axis].max() if upper else v[:, axis].min()
+            step = draw(st.integers(1, 3)) * (1 if upper else -1)
+            a, b = np.array(draw(st.tuples(_FREE, _FREE)), float), np.array(draw(st.tuples(_FREE, _FREE)), float)
+            a[axis], b[axis] = edge + step, edge
+            if kind == "miss":
+                a[axis] += 1e-12 * np.sign(step)
+                b[axis] += 1e-12 * np.sign(step)
+            if draw(st.booleans()):
+                a, b = b, a
+        a, b = np.asarray(a, float), np.asarray(b, float)
+        assume(np.all((a >= -3) & (a <= 9) & (b >= -3) & (b <= 9)) and np.any(a != b))
+        segments.append((a * _SCALE, b * _SCALE))
+    return [v * _SCALE for v in polys], segments
+
+
+_SIDE_BY_SIDE = [np.array([[0, 0], [2, 0], [2, 2], [0, 2]]) * _SCALE,
+                 np.array([[2, 0], [4, 0], [4, 2], [2, 2]]) * _SCALE]
+
+
+class TestOcclusionOracle:
+    @given(_occlusion_case())
+    # Misses the left square's box by 1e-12, so it runs 1e-12 inside the
+    # right square along their shared face: boundary contact, not occlusion.
+    @example((_SIDE_BY_SIDE, [(np.array([0.5 + 1e-12, 0.1]), np.array([0.5 + 1e-12, 0.4]))]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_sampling(self, case):
+        polys, segments = case
+        field = discretize_obstacles([Polygon(v) for v in polys], 0.5)
+        starts, ends = (np.array(e) for e in zip(*segments))
+        expected = [segment_hits_interior(a, b, polys) for a, b in segments]
+        assert segments_occluded(starts, ends, field).tolist() == expected
 
 
 class TestMveePoints:

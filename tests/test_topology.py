@@ -24,7 +24,7 @@ from losnet.topology import (
     weigh_edges,
 )
 from losnet.sim import Scenario, initial_state, run, step
-from oracles import best_constrained_tree, best_unconstrained_tree_weight
+from oracles import best_constrained_tree, best_unconstrained_tree_weight, greedy_tree
 
 
 @pytest.fixture
@@ -179,6 +179,55 @@ class TestWeighEdges:
                 assert w.w_los[k] == pytest.approx(w_los_direct, rel=1e-9, abs=1e-9)
                 assert w.occluded[k] == bool(np.min(h_direct) < 0)
 
+    def test_flags_match_ellipsoid_test_with_walls_and_stray_points(self, params, rng):
+        # Walls plus stray points outside every wall's box, placed across
+        # random edges' midpoints inside or outside the ellipsoid. The flag
+        # must be exactly "some point lies inside the edge ellipsoid", so a
+        # box prefilter built from the wall vertices alone fails here.
+        from losnet.barriers import h_los
+
+        flagged_by_stray = 0
+        for _ in range(30):
+            n = int(rng.integers(3, 9))
+            x = rng.uniform(0, 1.5, (n, 2))
+            if min(np.linalg.norm(x[i] - x[j]) for i in range(n) for j in range(i)) < 0.1:
+                continue
+            walls = []
+            for _ in range(int(rng.integers(1, 3))):
+                lo = rng.uniform(0.0, 1.4, 2)
+                hi = lo + rng.uniform(0.05, 0.3, 2)
+                walls.append(Polygon(np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])))
+            wall_field = discretize_obstacles(walls, 0.05)
+            g = build_los_graph(x, wall_field, params)
+            if not len(g.edges):
+                continue
+            picks = g.edges[rng.integers(0, len(g.edges), 6)]
+            axis = x[picks[:, 1]] - x[picks[:, 0]]
+            normal = np.stack([-axis[:, 1], axis[:, 0]], axis=1)
+            normal /= np.linalg.norm(normal, axis=1)[:, None]
+            offset = params.delta * rng.choice([-1.0, 1.0], 6) * np.where(
+                rng.random(6) < 0.6, rng.uniform(0.2, 0.8, 6), rng.uniform(1.2, 2.0, 6)
+            )
+            stray = 0.5 * (x[picks[:, 0]] + x[picks[:, 1]]) + offset[:, None] * normal
+            outside = np.all(
+                [np.any((stray < w.box[0]) | (stray > w.box[1]), axis=1) for w in walls], axis=0
+            )
+            stray = stray[outside]
+            field = ObstacleField(
+                polygons=wall_field.polygons,
+                points=np.vstack([wall_field.points, stray]),
+                spacing=wall_field.spacing,
+            )
+            u = rng.uniform(-0.5, 0.5, (n, 2))
+            w = weigh_edges(g, x, u, field, params, subgroups=np.zeros(n, int))
+            for k, (i, j) in enumerate(w.edges.tolist()):
+                ell = mvee_closed_form(x[i], x[j], params.delta)
+                h_wall = min((h_los(ell, p) for p in wall_field.points), default=np.inf)
+                h_stray = min((h_los(ell, p) for p in stray), default=np.inf)
+                assert w.occluded[k] == (min(h_wall, h_stray) < 0)
+                flagged_by_stray += bool(h_stray < 0 <= h_wall)
+        assert flagged_by_stray >= 20
+
     def test_explicit_lambda_ordering_violation_raises(self, params):
         x = np.array([[0.0, 0.0], [1.9, 0.0], [0.0, 0.5], [1.9, 0.5]])
         u = np.array([[-1.0, 0], [1.0, 0], [-1.0, 0], [1.0, 0]])
@@ -246,6 +295,35 @@ class TestMlccst:
         g = _graph_from_weights(4, [(2, 3, 1.0), (1, 3, 1.0), (0, 3, 1.0), (0, 1, 1.0),
                                     (1, 2, 1.0), (0, 2, 1.0)])
         assert mlccst(g).edges == ((0, 1), (0, 2), (0, 3))
+
+    def test_matches_greedy_oracle(self, rng):
+        # Random graphs of up to 200 nodes, weights from a three-value set so
+        # that ties are common, edges in shuffled order: the tree equals the
+        # greedy (-w, i, j) union-find tree edge for edge, its total weight
+        # equals the oracle's exactly, and a graph that does not span raises
+        # with the oracle's components.
+        spanning = split = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 201))
+            density = rng.choice([1.5, 3.0, 8.0]) / n
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+            if rng.random() < 0.7:
+                pairs = sorted(set(pairs) | {(k, k + 1) for k in range(n - 1)})
+            w = rng.choice([-1.5, 2.25, 7.0], size=len(pairs)) * rng.choice([1.0, 1e-3, 1e3])
+            tree_edges, total, components = greedy_tree(n, pairs, w)
+            perm = rng.permutation(len(pairs))
+            graph = _graph_from_weights(n, [(*pairs[k], w[k]) for k in perm])
+            if len(components) == 1:
+                tree = mlccst(graph)
+                assert tree.edges == tree_edges
+                assert tree.total_weight == total
+                spanning += 1
+            else:
+                with pytest.raises(ConnectivityLossError) as exc:
+                    mlccst(graph)
+                assert exc.value.components == components
+                split += 1
+        assert spanning >= 15 and split >= 5
 
     def test_disconnected_graph_lists_components(self):
         g = _graph_from_weights(4, [(0, 1, 1.0), (2, 3, 1.0)])
